@@ -10,7 +10,9 @@
 /// size is 1 + Σ_children Bernoulli(p_vc)·S_c, so its PMF is the
 /// convolution of the children's (each mixed with a point mass at 0 for
 /// "edge did not fire"). Minutes of Monte-Carlo become one BFS plus
-/// O(subtree²) convolutions.
+/// O(subtree²) convolutions. Every entry point explores only the subgraph
+/// the sources reach (analytic/feasibility.h's AnalyticWorkspace), so a
+/// request costs O(reachable subgraph + sinks), whatever the graph's size.
 ///
 /// Three regimes, chosen per call from the structural feasibility report
 /// (analytic/feasibility.h):
@@ -74,18 +76,34 @@ struct AnalyticOptions {
   bool require_exact = false;
 };
 
-/// \brief Per-node activation probabilities for a cascade from `sources`.
+/// \brief Activation probabilities for a cascade from a source set.
 struct ReachAnswer {
-  /// probability[v] = Pr[v is activated]; sources are 1, unreachable 0.
+  /// The nodes answered: the requested sinks as given (repeats kept), or
+  /// every reached node in BFS order when no sinks were named.
+  std::vector<NodeId> nodes;
+  /// probability[i] = Pr[nodes[i] is activated]; sources are 1 (up to
+  /// rounding in the enumeration regime), unreachable nodes 0.
   std::vector<double> probability;
   AnalyticMethod method = AnalyticMethod::kTreeExact;
   FeasibilityReport report;
 };
 
-/// \brief Pr[source-set ⤳ v] for every node v — the analytic form of the
-/// flow/community query (Eq. 5 without sampling). Fails with
-/// InvalidArgument/OutOfRange on malformed input and FailedPrecondition
-/// (descriptive) when the subgraph is denser than the options allow.
+/// \brief Pr[source-set ⤳ sink] for each of `sinks` — the analytic form of
+/// the flow/community query (Eq. 5 without sampling). Costs one
+/// exploration of the reachable subgraph on the calling thread's
+/// AnalyticWorkspace plus O(1) per sink in the tree-exact regime. Fails
+/// with InvalidArgument/OutOfRange on malformed input and
+/// FailedPrecondition (descriptive) when the subgraph is denser than the
+/// options allow.
+Result<ReachAnswer> ReachProbabilities(const DirectedGraph& graph,
+                                       std::span<const double> probs,
+                                       std::span<const NodeId> sources,
+                                       std::span<const NodeId> sinks,
+                                       const AnalyticOptions& options = {});
+
+/// \brief As above, answering every node
+/// the sources reach (in BFS order, sources first); unlisted nodes have
+/// probability 0.
 Result<ReachAnswer> ReachProbabilities(const DirectedGraph& graph,
                                        std::span<const double> probs,
                                        std::span<const NodeId> sources,
@@ -104,8 +122,9 @@ struct CascadePmf {
   double Mean() const;
 };
 
-/// \brief The full impact PMF from `source` (Fig. 4 analytically). Same
-/// failure contract as ReachProbabilities.
+/// \brief The full impact PMF from `source` (Fig. 4 analytically), explored
+/// on the calling thread's AnalyticWorkspace. Same failure contract as
+/// ReachProbabilities.
 Result<CascadePmf> CascadeSizePmf(const DirectedGraph& graph,
                                   std::span<const double> probs,
                                   NodeId source,

@@ -388,17 +388,26 @@ RrIndex::RrIndex(std::shared_ptr<const DirectedGraph> graph,
 
 Result<std::shared_ptr<const RrSketchSet>> RrIndex::Acquire(
     std::shared_ptr<const serve::BankGeneration> generation) {
+  const std::uint64_t id = generation->id();
+  const auto published = [&]() -> std::shared_ptr<const RrSketchSet> {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (current_ != nullptr && current_->generation() == id) return current_;
+    return nullptr;
+  };
+  if (auto set = published()) return set;
+  // Single flight: one build at a time. A caller that queued here behind
+  // a build of its own generation finds that build published and shares
+  // it; a failed build published nothing, so the next caller retries it.
+  std::lock_guard<std::mutex> build_lock(build_mutex_);
+  if (auto set = published()) return set;
   std::shared_ptr<const RrSketchSet> previous;
   std::shared_ptr<const serve::BankGeneration> previous_rows;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (current_ != nullptr && current_->generation() == generation->id()) {
-      return current_;
-    }
     previous = current_;
     previous_rows = indexed_rows_;
   }
-  // Build outside the lock: inversion is the expensive step and concurrent
+  // Build outside mutex_: inversion is the expensive step and concurrent
   // readers of the previous set must not stall behind it. The previous
   // set + rows are the incremental diff base — unchanged blocks reuse
   // their postings.
@@ -412,16 +421,14 @@ Result<std::shared_ptr<const RrSketchSet>> RrIndex::Acquire(
   IF_RETURN_NOT_OK(built.status());
   auto set = std::make_shared<const RrSketchSet>(std::move(*built));
   std::lock_guard<std::mutex> lock(mutex_);
-  // A racing builder may have published the same (or a newer) generation;
-  // keep the newest — generations only move forward.
-  if (current_ == nullptr || current_->generation() <= set->generation()) {
+  ever_built_ = true;
+  // A caller holding a stale generation may build it after a newer one
+  // was published; keep the newest — generations only move forward.
+  if (current_ == nullptr || current_->generation() <= id) {
     current_ = set;
     indexed_rows_ = std::move(generation);
-    ever_built_ = true;
-    return current_;
   }
-  ever_built_ = true;
-  return current_->generation() == set->generation() ? current_ : set;
+  return set;
 }
 
 void RrIndex::Prime(std::shared_ptr<const serve::BankGeneration> generation) {

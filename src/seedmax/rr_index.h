@@ -195,7 +195,10 @@ class RrSketchSet {
 /// \brief Generation-keyed cache of the default sketch set, with the same
 /// publish discipline as ShardEngine: Acquire gathers (builds) on first
 /// sight of a generation and hands out immutable shared_ptr snapshots;
-/// readers holding an old set are never invalidated.
+/// readers holding an old set are never invalidated. Builds are
+/// single-flight: they run one at a time, and a caller that wants the
+/// generation being built waits for that build instead of starting a
+/// second one.
 class RrIndex {
  public:
   /// Builds the reversed view once and spins the sketch-build worker pool
@@ -215,7 +218,9 @@ class RrIndex {
   /// been seen yet. The generation handle is retained alongside the
   /// published set so the *next* build can diff block planes against it
   /// and reuse the postings of unchanged blocks (at most one extra
-  /// generation is kept alive at a time).
+  /// generation is kept alive at a time). Concurrent callers asking for a
+  /// generation under construction wait for that build and share its set;
+  /// if it fails, the next of them retries it.
   Result<std::shared_ptr<const RrSketchSet>> Acquire(
       std::shared_ptr<const serve::BankGeneration> generation);
 
@@ -230,6 +235,8 @@ class RrIndex {
  private:
   ReversedGraphView view_;
   ThreadPool pool_;
+  /// Held across a build, so builds run one at a time (single flight).
+  std::mutex build_mutex_;
   std::mutex mutex_;
   std::shared_ptr<const RrSketchSet> current_;
   /// The rows current_ was inverted from — the diff base of the next

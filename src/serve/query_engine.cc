@@ -232,20 +232,21 @@ bool BackendDispatcher::TryAnalytic(const BankGeneration& bank,
   // loopy correction is approximate, so a caller who didn't ask for the
   // analytic backend by name never receives an approximate answer.
   opts.require_exact = backend == QueryBackend::kAuto;
-  auto answer = analytic::ReachProbabilities(*graph_, model->probs(),
-                                             request.sources, opts);
+  auto answer = analytic::ReachProbabilities(
+      *graph_, model->probs(), request.sources, request.sinks, opts);
   if (!answer.ok()) {
     if (!explicit_analytic) return false;
     result.status = answer.status();
+    result.latency_ms = timer.Millis();
     result.backend = QueryBackend::kAnalytic;
     return true;
   }
   result.status = Status::OK();
   result.estimates.reserve(request.sinks.size());
-  for (const NodeId sink : request.sinks) {
+  for (std::size_t i = 0; i < request.sinks.size(); ++i) {
     SinkEstimate estimate;
-    estimate.sink = sink;
-    estimate.value = answer->probability[sink];
+    estimate.sink = request.sinks[i];
+    estimate.value = answer->probability[i];
     // Closed-form answer: no sampling noise. MCSE 0 / R-hat 1 make the
     // diagnostics read as a perfectly converged estimator downstream.
     estimate.diagnostics.mean = estimate.value;
@@ -269,6 +270,10 @@ std::vector<std::size_t> BackendDispatcher::Partition(
       << "results must be pre-sized to the batch";
   std::vector<std::size_t> bank_indices;
   bank_indices.reserve(requests.size());
+  // Analytic answers carry their own latency (no batch to attribute), and
+  // feed the per-kind instruments the bank plan feeds for its batches.
+  // Refusals of an explicit analytic ask answer nothing: no sample.
+  KindLatencyRecorder latencies;
   for (std::size_t j = 0; j < requests.size(); ++j) {
     const QueryRequest& request = requests[j];
     const QueryBackend backend =
@@ -279,8 +284,11 @@ std::vector<std::size_t> BackendDispatcher::Partition(
         !ValidateQueryRequest(*graph_, request).ok() ||
         !TryAnalytic(bank, request, backend, results[j])) {
       bank_indices.push_back(j);
+    } else if (results[j].status.ok()) {
+      latencies.Record(request.kind, results[j].latency_ms);
     }
   }
+  latencies.Publish();
   return bank_indices;
 }
 
@@ -293,10 +301,13 @@ void BackendDispatcher::Merge(const std::vector<std::size_t>& bank_indices,
     results[bank_indices[i]] = std::move(bank_results[i]);
   }
   if constexpr (obs::MetricsEnabled()) {
+    // Indexed by static_cast<std::size_t>(QueryBackend).
+    static obs::Counter* const kBackendTotals[3] = {
+        &obs::GetCounter("serve.query.backend_total.auto"),
+        &obs::GetCounter("serve.query.backend_total.analytic"),
+        &obs::GetCounter("serve.query.backend_total.bank")};
     for (const QueryResult& result : results) {
-      obs::GetCounter(std::string("serve.query.backend_total.") +
-                      QueryBackendName(result.backend))
-          .Increment();
+      kBackendTotals[static_cast<std::size_t>(result.backend)]->Increment();
     }
   }
 }
@@ -340,6 +351,11 @@ std::vector<QueryResult> QueryEngine::AnswerBatch(
   BackendDispatcher dispatcher(*graph_, options_);
   const std::vector<std::size_t> bank_indices =
       dispatcher.Partition(bank, requests, results);
+  if (bank_indices.empty()) {
+    // Nothing to replay: no strip plane, no plan, no empty batch counted.
+    BackendDispatcher::Merge(bank_indices, {}, results);
+    return results;
+  }
   // Resolve the replay width against this generation's row count; the
   // W-word strip plane is interleaved lazily on first acquisition and
   // cached on the generation, so later batches pay nothing.

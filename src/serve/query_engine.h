@@ -155,8 +155,9 @@ struct QueryResult {
   /// (shared source frontier + conditioning set).
   bool frontier_shared = false;
   /// Wall-clock of the batch this query was answered in, milliseconds
-  /// (batch attribution: every member of a batch reports the batch's
-  /// latency). Feeds the slow-query log and latency histograms.
+  /// (batch attribution: every member of a bank batch reports the batch's
+  /// latency; an analytic answer reports its own). Feeds the slow-query
+  /// log and latency histograms.
   double latency_ms = 0.0;
   /// Cut-frontier exchange rounds of the batch (sharded engines; 0 on the
   /// single engine). Batch attribution, like latency_ms.
@@ -229,6 +230,8 @@ class BackendDispatcher {
   /// bank rows (in original order). `results` must be pre-sized to
   /// requests.size(); entries for analytic answers (success or
   /// explicit-backend failure) are filled, bank-bound entries untouched.
+  /// Each successful analytic answer's own latency_ms is recorded in the
+  /// per-kind serve.query.latency_ms.<kind> instruments.
   std::vector<std::size_t> Partition(const BankGeneration& bank,
                                      const std::vector<QueryRequest>& requests,
                                      std::vector<QueryResult>& results) const;

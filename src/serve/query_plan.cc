@@ -123,6 +123,29 @@ std::vector<NodeId> SortedUnique(std::vector<NodeId> nodes) {
 
 }  // namespace
 
+void KindLatencyRecorder::Record(QueryKind kind, double latency_ms) {
+  if constexpr (obs::MetricsEnabled()) {
+    const auto k = static_cast<std::size_t>(kind);
+    if (k >= 3) return;
+    recorded_[k] = true;
+    PlanMetrics::Get().kind_latency[k].hist->Record(latency_ms);
+  }
+}
+
+void KindLatencyRecorder::Publish() const {
+  if constexpr (obs::MetricsEnabled()) {
+    PlanMetrics& metrics = PlanMetrics::Get();
+    for (std::size_t k = 0; k < 3; ++k) {
+      if (!recorded_[k]) continue;
+      const obs::HistogramSnapshot snap =
+          metrics.kind_latency[k].hist->Snapshot();
+      metrics.kind_latency[k].p50->Set(snap.Quantile(0.50));
+      metrics.kind_latency[k].p95->Set(snap.Quantile(0.95));
+      metrics.kind_latency[k].p99->Set(snap.Quantile(0.99));
+    }
+  }
+}
+
 Status ValidateQueryRequest(const DirectedGraph& graph,
                             const QueryRequest& request) {
   const NodeId n = graph.num_nodes();
@@ -489,20 +512,16 @@ std::vector<QueryResult> RunQueryPlan(
     result.shard_replay_ms = batch_stats.shard_replay_ms;
   }
   metrics.latency_ms->Record(batch_ms);
-  if constexpr (obs::MetricsEnabled()) {
-    bool seen[3] = {false, false, false};
-    for (const QueryRequest& request : requests) {
-      const auto k = static_cast<std::size_t>(request.kind);
-      if (k >= 3 || seen[k]) continue;
-      seen[k] = true;
-      metrics.kind_latency[k].hist->Record(batch_ms);
-      const obs::HistogramSnapshot snap =
-          metrics.kind_latency[k].hist->Snapshot();
-      metrics.kind_latency[k].p50->Set(snap.Quantile(0.50));
-      metrics.kind_latency[k].p95->Set(snap.Quantile(0.95));
-      metrics.kind_latency[k].p99->Set(snap.Quantile(0.99));
-    }
+  // One sample per kind the batch answered (batch attribution).
+  KindLatencyRecorder kinds;
+  bool seen[3] = {false, false, false};
+  for (const QueryRequest& request : requests) {
+    const auto k = static_cast<std::size_t>(request.kind);
+    if (k >= 3 || seen[k]) continue;
+    seen[k] = true;
+    kinds.Record(request.kind, batch_ms);
   }
+  kinds.Publish();
   return results;
 }
 

@@ -108,6 +108,20 @@ struct QueryPlanOptions {
   std::size_t rows_per_task = 256;
 };
 
+/// \brief Feeds the per-kind latency instruments: the log-bucketed
+/// `serve.query.latency_ms.<kind>` histogram and its `.p50/.p95/.p99`
+/// gauges. Record() adds one sample; Publish() refreshes the gauges of
+/// every kind recorded since construction, once per batch rather than per
+/// sample. Inert under INFOFLOW_NO_METRICS.
+class KindLatencyRecorder {
+ public:
+  void Record(QueryKind kind, double latency_ms);
+  void Publish() const;
+
+ private:
+  bool recorded_[3] = {false, false, false};
+};
+
 /// \brief Validates a request against `graph` exactly as QueryEngine does:
 /// out-of-range endpoints and malformed shapes come back as descriptive
 /// Statuses before any BFS workspace can see them.

@@ -505,6 +505,10 @@ std::vector<QueryResult> ShardedQueryEngine::AnswerBatch(
   BackendDispatcher dispatcher(*graph_, options_);
   const std::vector<std::size_t> bank_indices =
       dispatcher.Partition(bank, requests, results);
+  if (bank_indices.empty()) {
+    BackendDispatcher::Merge(bank_indices, {}, results);
+    return results;
+  }
   // One consistent cut across shards: all views belong to bank.id(), so a
   // refresh landing mid-batch cannot mix generations between shards.
   const std::vector<std::shared_ptr<const ShardView>> views =

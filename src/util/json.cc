@@ -1,10 +1,11 @@
 #include "util/json.h"
 
+#include <bit>
 #include <cctype>
 #include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 
 #include "util/check.h"
 
@@ -79,14 +80,17 @@ void AppendEscaped(std::string& out, const std::string& s) {
 void AppendNumber(std::string& out, double v) {
   // Integers in the exactly-representable range (|v| <= 2^53) print without
   // a fraction — accumulated Beta counts and row totals stay plain integers
-  // however large they grow; everything else gets enough digits (up to 17
-  // significant) to round-trip through strtod exactly.
+  // however large they grow; everything else gets the fewest significant
+  // digits (at most 17) that round-trip through strtod exactly, printed as
+  // %.{digits}g would print them.
   constexpr double kMaxExactInteger = 9007199254740992.0;  // 2^53
+  char buf[32];
   if (std::isfinite(v) && v == std::floor(v) &&
       std::fabs(v) <= kMaxExactInteger) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.0f", v);
-    out += buf;
+    // Exactly %.0f, including "-0" for negative zero.
+    out.append(buf, std::to_chars(buf, buf + sizeof(buf), v,
+                                  std::chars_format::fixed, 0)
+                        .ptr);
     return;
   }
   if (!std::isfinite(v)) {
@@ -94,18 +98,32 @@ void AppendNumber(std::string& out, double v) {
     out += "null";
     return;
   }
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  // Trim to the shortest representation that still round-trips.
-  for (int precision = 1; precision < 17; ++precision) {
-    char trial[32];
-    std::snprintf(trial, sizeof(trial), "%.*g", precision, v);
-    if (std::strtod(trial, nullptr) == v) {
-      out += trial;
-      return;
+  // The shortest round-trip form's mantissa digits are the fewest any
+  // round-tripping decimal needs.
+  char* end = std::to_chars(buf, buf + sizeof(buf), v,
+                            std::chars_format::scientific)
+                  .ptr;
+  int digits = 0;
+  for (const char* p = buf; p != end && *p != 'e'; ++p) {
+    if (*p >= '0' && *p <= '9') ++digits;
+  }
+  // The nearest `digits`-digit decimal (what %.{digits}g prints) then
+  // round-trips too, since v's rounding interval is symmetric — except at
+  // a power of two, whose interval below v is half as wide as above it:
+  // there, widen until the printed form parses back (17 always does).
+  const bool power_of_two =
+      (std::bit_cast<std::uint64_t>(v) & ((std::uint64_t{1} << 52) - 1)) == 0;
+  for (;; ++digits) {
+    end = std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::general,
+                        digits)
+              .ptr;
+    double back = 0.0;
+    if (!power_of_two || digits >= 17 ||
+        (std::from_chars(buf, end, back).ptr == end && back == v)) {
+      break;
     }
   }
-  out += buf;
+  out.append(buf, end);
 }
 
 }  // namespace

@@ -1,18 +1,23 @@
 /// Tests for the analytic subsystem: the feasibility scorer's structural
 /// classification, exact-enumeration pins for the message-passing estimator
 /// on paths/stars/trees and a small loopy graph, the loopy fallback's
-/// calibration, AnalyticImpact against SimulateImpact, the
+/// calibration, AnalyticImpact against SimulateImpact, a bitwise
+/// differential suite of the stamped-workspace estimators against a dense
+/// O(n)-per-call reference implementation kept here as the oracle, the
 /// BackendDispatcher's routing (auto picks analytic only on exact regimes,
-/// conditioning always replays the bank), the protocol's backend field, and
-/// a randomized differential suite: every analytic answer within 3×MCSE of
-/// the MH + bank replay estimate.
+/// conditioning always replays the bank, all-analytic batches skip the
+/// bank plan), the protocol's backend field, and a randomized differential
+/// suite: every analytic answer within 3×MCSE of the MH + bank replay
+/// estimate.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analytic/cascade_estimator.h"
@@ -20,6 +25,7 @@
 #include "core/exact_flow.h"
 #include "core/impact.h"
 #include "graph/generators.h"
+#include "obs/metrics.h"
 #include "serve/protocol.h"
 #include "serve/query_engine.h"
 #include "serve/sample_bank.h"
@@ -64,6 +70,313 @@ std::vector<double> RandomProbs(const DirectedGraph& g, std::uint64_t seed,
   for (double& p : probs) p = rng.Uniform(lo, hi);
   return probs;
 }
+
+/// Pr[sources ⤳ v] from an every-reached-node answer (0 when unlisted).
+double At(const ReachAnswer& answer, NodeId v) {
+  const auto it = std::find(answer.nodes.begin(), answer.nodes.end(), v);
+  return it == answer.nodes.end()
+             ? 0.0
+             : answer.probability[static_cast<std::size_t>(
+                   it - answer.nodes.begin())];
+}
+
+// ----------------------------------------------- dense reference oracle
+//
+// The estimators as they stood before the stamped workspace: every call
+// allocates and fills n-sized arrays and answers with a dense per-node
+// vector. Kept as the bitwise oracle for the O(reachable subgraph)
+// implementation — same arithmetic in the same order, so every
+// probability must match exactly, not just nearly.
+namespace oracle {
+
+FeasibilityReport AssessFeasibility(const DirectedGraph& graph,
+                                    std::span<const NodeId> sources,
+                                    const FeasibilityOptions& options) {
+  FeasibilityReport report;
+  const NodeId n = graph.num_nodes();
+  std::vector<bool> reachable(n, false);
+  std::vector<bool> is_source(n, false);
+  std::vector<NodeId> frontier;
+  for (const NodeId s : sources) {
+    if (is_source[s]) continue;
+    is_source[s] = true;
+    ++report.reachable_sources;
+    reachable[s] = true;
+    frontier.push_back(s);
+  }
+  while (!frontier.empty()) {
+    const NodeId u = frontier.back();
+    frontier.pop_back();
+    for (const EdgeId e : graph.OutEdges(u)) {
+      const NodeId v = graph.edge(e).dst;
+      if (!is_source[v]) ++report.relevant_edges;
+      if (!reachable[v]) {
+        reachable[v] = true;
+        frontier.push_back(v);
+      }
+    }
+  }
+  report.reachable_nodes = static_cast<std::size_t>(
+      std::count(reachable.begin(), reachable.end(), true));
+  const std::size_t spanning =
+      report.reachable_nodes - report.reachable_sources;
+  report.excess_edges = report.relevant_edges - spanning;
+  report.excess_ratio =
+      static_cast<double>(report.excess_edges) /
+      static_cast<double>(std::max<std::size_t>(1, report.relevant_edges));
+  report.tree_like = report.excess_edges == 0;
+  report.enumerable = report.relevant_edges <= options.max_enumeration_edges;
+  report.feasible = report.tree_like || report.enumerable ||
+                    report.excess_ratio <= options.max_excess_ratio;
+  report.expected_error =
+      (report.tree_like || report.enumerable) ? 0.0 : report.excess_ratio;
+  return report;
+}
+
+struct Subgraph {
+  std::vector<NodeId> order;
+  std::vector<bool> reachable;
+  std::vector<bool> is_source;
+  std::size_t num_sources = 0;
+  std::vector<EdgeId> relevant;
+  std::vector<EdgeId> discovery;
+};
+
+Subgraph Explore(const DirectedGraph& graph, std::span<const NodeId> sources) {
+  const NodeId n = graph.num_nodes();
+  Subgraph sub;
+  sub.reachable.assign(n, false);
+  sub.is_source.assign(n, false);
+  sub.discovery.assign(n, kInvalidEdge);
+  for (const NodeId s : sources) {
+    if (sub.is_source[s]) continue;
+    sub.is_source[s] = true;
+    sub.reachable[s] = true;
+    sub.order.push_back(s);
+    ++sub.num_sources;
+  }
+  for (std::size_t head = 0; head < sub.order.size(); ++head) {
+    const NodeId u = sub.order[head];
+    for (const EdgeId e : graph.OutEdges(u)) {
+      const NodeId v = graph.edge(e).dst;
+      if (!sub.is_source[v]) sub.relevant.push_back(e);
+      if (!sub.reachable[v]) {
+        sub.reachable[v] = true;
+        sub.discovery[v] = e;
+        sub.order.push_back(v);
+      }
+    }
+  }
+  return sub;
+}
+
+Result<AnalyticMethod> PickMethod(const FeasibilityReport& report,
+                                  const AnalyticOptions& options) {
+  if (report.tree_like) return AnalyticMethod::kTreeExact;
+  if (report.enumerable) return AnalyticMethod::kEnumeration;
+  if (!options.require_exact && report.feasible) {
+    return AnalyticMethod::kLoopy;
+  }
+  return Status::FailedPrecondition("refused");
+}
+
+std::vector<double> LoopyMarginals(const DirectedGraph& graph,
+                                   std::span<const double> probs,
+                                   const Subgraph& sub,
+                                   const AnalyticOptions& options) {
+  std::vector<double> a(graph.num_nodes(), 0.0);
+  for (const NodeId v : sub.order) {
+    if (sub.is_source[v]) a[v] = 1.0;
+  }
+  for (std::size_t sweep = 0; sweep < options.max_loopy_sweeps; ++sweep) {
+    double delta = 0.0;
+    for (const NodeId v : sub.order) {
+      if (sub.is_source[v]) continue;
+      double miss = 1.0;
+      for (const EdgeId e : graph.InEdges(v)) {
+        const NodeId u = graph.edge(e).src;
+        if (sub.reachable[u]) miss *= 1.0 - a[u] * probs[e];
+      }
+      const double next = 1.0 - miss;
+      delta = std::max(delta, next - a[v]);
+      a[v] = next;
+    }
+    if (delta <= options.loopy_tolerance) break;
+  }
+  return a;
+}
+
+template <typename Fn>
+void EnumerateSubworlds(const DirectedGraph& graph,
+                        std::span<const double> probs, const Subgraph& sub,
+                        Fn&& fn) {
+  const std::size_t m = sub.relevant.size();
+  const std::size_t n_local = sub.order.size();
+  std::vector<std::size_t> local(graph.num_nodes(), 0);
+  for (std::size_t i = 0; i < n_local; ++i) local[sub.order[i]] = i;
+  std::vector<std::vector<std::pair<std::size_t, std::size_t>>> adj(n_local);
+  for (std::size_t i = 0; i < m; ++i) {
+    const Edge& edge = graph.edge(sub.relevant[i]);
+    adj[local[edge.src]].push_back({local[edge.dst], i});
+  }
+  std::vector<char> reached(n_local, 0);
+  std::vector<std::size_t> stack;
+  for (std::uint64_t mask = 0; mask < (std::uint64_t{1} << m); ++mask) {
+    double weight = 1.0;
+    for (std::size_t i = 0; i < m; ++i) {
+      const double p = probs[sub.relevant[i]];
+      weight *= ((mask >> i) & 1) != 0 ? p : 1.0 - p;
+    }
+    if (weight == 0.0) continue;
+    std::fill(reached.begin(), reached.end(), 0);
+    stack.clear();
+    for (std::size_t i = 0; i < sub.num_sources; ++i) {
+      reached[i] = 1;
+      stack.push_back(i);
+    }
+    std::size_t count = sub.num_sources;
+    while (!stack.empty()) {
+      const std::size_t u = stack.back();
+      stack.pop_back();
+      for (const auto& [v, i] : adj[u]) {
+        if (((mask >> i) & 1) != 0 && reached[v] == 0) {
+          reached[v] = 1;
+          ++count;
+          stack.push_back(v);
+        }
+      }
+    }
+    fn(weight, reached, count);
+  }
+}
+
+template <typename WeightFn>
+std::vector<double> SubtreePmf(const DirectedGraph& graph, const Subgraph& sub,
+                               NodeId root, WeightFn&& weight) {
+  const std::size_t n_local = sub.order.size();
+  std::vector<std::size_t> local(graph.num_nodes(), 0);
+  for (std::size_t i = 0; i < n_local; ++i) local[sub.order[i]] = i;
+  std::vector<std::vector<double>> pmf(n_local, std::vector<double>{0.0, 1.0});
+  for (std::size_t i = n_local; i-- > 1;) {
+    const NodeId v = sub.order[i];
+    const std::size_t pi = local[graph.edge(sub.discovery[v]).src];
+    const double w = weight(v);
+    std::vector<double>& child = pmf[i];
+    std::vector<double>& conv = pmf[pi];
+    std::vector<double> merged(conv.size() + child.size() - 1, 0.0);
+    for (std::size_t a = 0; a < conv.size(); ++a) {
+      const double ca = conv[a];
+      if (ca == 0.0) continue;
+      merged[a] += ca * (1.0 - w);
+      for (std::size_t k = 1; k < child.size(); ++k) {
+        merged[a + k] += ca * w * child[k];
+      }
+    }
+    conv = std::move(merged);
+    std::vector<double>().swap(child);
+  }
+  return std::move(pmf[local[root]]);
+}
+
+/// Dense Pr[sources ⤳ v] for every v, the regime, and the report; a
+/// refusal leaves `probability` empty and `refused` set.
+struct DenseReach {
+  bool refused = false;
+  AnalyticMethod method = AnalyticMethod::kTreeExact;
+  FeasibilityReport report;
+  std::vector<double> probability;
+};
+
+DenseReach Reach(const DirectedGraph& graph, std::span<const double> probs,
+                 std::span<const NodeId> sources,
+                 const AnalyticOptions& options) {
+  DenseReach answer;
+  answer.report =
+      oracle::AssessFeasibility(graph, sources, options.feasibility);
+  auto method = PickMethod(answer.report, options);
+  if (!method.ok()) {
+    answer.refused = true;
+    return answer;
+  }
+  answer.method = *method;
+  const Subgraph sub = Explore(graph, sources);
+  answer.probability.assign(graph.num_nodes(), 0.0);
+  for (const NodeId v : sub.order) {
+    if (sub.is_source[v]) answer.probability[v] = 1.0;
+  }
+  switch (answer.method) {
+    case AnalyticMethod::kTreeExact:
+      for (const NodeId v : sub.order) {
+        if (sub.is_source[v]) continue;
+        const EdgeId e = sub.discovery[v];
+        answer.probability[v] =
+            answer.probability[graph.edge(e).src] * probs[e];
+      }
+      break;
+    case AnalyticMethod::kEnumeration: {
+      std::vector<double> acc(sub.order.size(), 0.0);
+      EnumerateSubworlds(graph, probs, sub,
+                         [&](double weight, const std::vector<char>& reached,
+                             std::size_t) {
+                           for (std::size_t i = 0; i < reached.size(); ++i) {
+                             if (reached[i] != 0) acc[i] += weight;
+                           }
+                         });
+      for (std::size_t i = 0; i < sub.order.size(); ++i) {
+        answer.probability[sub.order[i]] = acc[i];
+      }
+      break;
+    }
+    case AnalyticMethod::kLoopy:
+      answer.probability = LoopyMarginals(graph, probs, sub, options);
+      break;
+  }
+  return answer;
+}
+
+/// The impact PMF, or empty when refused.
+std::vector<double> Impact(const DirectedGraph& graph,
+                           std::span<const double> probs, NodeId source,
+                           const AnalyticOptions& options) {
+  const NodeId sources[1] = {source};
+  const FeasibilityReport report =
+      oracle::AssessFeasibility(graph, sources, options.feasibility);
+  auto method = PickMethod(report, options);
+  if (!method.ok()) return {};
+  const Subgraph sub = Explore(graph, sources);
+  std::vector<double> size_pmf;
+  switch (*method) {
+    case AnalyticMethod::kTreeExact:
+      size_pmf = SubtreePmf(graph, sub, source, [&](NodeId v) {
+        return probs[sub.discovery[v]];
+      });
+      break;
+    case AnalyticMethod::kEnumeration: {
+      std::vector<double> acc(sub.order.size() + 1, 0.0);
+      EnumerateSubworlds(graph, probs, sub,
+                         [&](double weight, const std::vector<char>&,
+                             std::size_t count) { acc[count] += weight; });
+      size_pmf = std::move(acc);
+      break;
+    }
+    case AnalyticMethod::kLoopy: {
+      const std::vector<double> a = LoopyMarginals(graph, probs, sub, options);
+      size_pmf = SubtreePmf(graph, sub, source, [&](NodeId v) {
+        const double parent = a[graph.edge(sub.discovery[v]).src];
+        return parent > 0.0 ? std::min(1.0, a[v] / parent) : 0.0;
+      });
+      break;
+    }
+  }
+  std::vector<double> impact(size_pmf.size() > 1 ? size_pmf.size() - 1 : 1,
+                             0.0);
+  for (std::size_t k = 1; k < size_pmf.size(); ++k) {
+    impact[k - 1] = size_pmf[k];
+  }
+  return impact;
+}
+
+}  // namespace oracle
 
 // ---------------------------------------------------------- feasibility
 
@@ -148,9 +461,9 @@ TEST(ReachProbabilities, PathClosedForm) {
   auto answer = ReachProbabilities(*g, probs, sources);
   ASSERT_TRUE(answer.ok()) << answer.status();
   EXPECT_EQ(answer->method, AnalyticMethod::kTreeExact);
-  EXPECT_DOUBLE_EQ(answer->probability[0], 1.0);
-  EXPECT_NEAR(answer->probability[1], 0.6, 1e-12);
-  EXPECT_NEAR(answer->probability[2], 0.3, 1e-12);
+  EXPECT_DOUBLE_EQ(At(*answer, 0), 1.0);
+  EXPECT_NEAR(At(*answer, 1), 0.6, 1e-12);
+  EXPECT_NEAR(At(*answer, 2), 0.3, 1e-12);
 }
 
 TEST(ReachProbabilities, StarLeavesAreIndependentEdges) {
@@ -162,7 +475,7 @@ TEST(ReachProbabilities, StarLeavesAreIndependentEdges) {
   EXPECT_EQ(answer->method, AnalyticMethod::kTreeExact);
   for (NodeId leaf = 1; leaf <= 4; ++leaf) {
     // Leaf order follows edge-id order (GraphBuilder sorts by (src, dst)).
-    EXPECT_NEAR(answer->probability[leaf], probs[leaf - 1], 1e-12);
+    EXPECT_NEAR(At(*answer, leaf), probs[leaf - 1], 1e-12);
   }
 }
 
@@ -176,7 +489,7 @@ TEST(ReachProbabilities, RandomTreeMatchesEnumerationEverywhere) {
   ASSERT_TRUE(answer.ok()) << answer.status();
   EXPECT_EQ(answer->method, AnalyticMethod::kTreeExact);
   for (NodeId v = 0; v < g->num_nodes(); ++v) {
-    EXPECT_NEAR(answer->probability[v], ExactFlowByEnumeration(model, 0, v),
+    EXPECT_NEAR(At(*answer, v), ExactFlowByEnumeration(model, 0, v),
                 1e-9)
         << "node " << v;
   }
@@ -191,7 +504,7 @@ TEST(ReachProbabilities, DiamondAnswersExactlyByEnumeration) {
   ASSERT_TRUE(answer.ok()) << answer.status();
   EXPECT_EQ(answer->method, AnalyticMethod::kEnumeration);
   for (NodeId v = 0; v < 4; ++v) {
-    EXPECT_NEAR(answer->probability[v], ExactFlowByEnumeration(model, 0, v),
+    EXPECT_NEAR(At(*answer, v), ExactFlowByEnumeration(model, 0, v),
                 1e-9);
   }
 }
@@ -210,7 +523,7 @@ TEST(ReachProbabilities, LoopyMarginalsExactWhenPathsShareOnlyTheSource) {
   EXPECT_EQ(answer->method, AnalyticMethod::kLoopy);
   EXPECT_GT(answer->report.expected_error, 0.0);
   for (NodeId v = 0; v < 4; ++v) {
-    EXPECT_NEAR(answer->probability[v], ExactFlowByEnumeration(model, 0, v),
+    EXPECT_NEAR(At(*answer, v), ExactFlowByEnumeration(model, 0, v),
                 1e-9);
   }
 }
@@ -330,6 +643,257 @@ TEST(CascadeSizePmf, LoopyFallbackMeanWithinItsErrorBudget) {
   EXPECT_GT(pmf->report.expected_error, 0.0);
   EXPECT_NEAR(pmf->Mean(), mean_by_marginals,
               pmf->report.expected_error * mean_by_marginals);
+}
+
+// ------------------------------- workspace estimators vs the dense oracle
+
+/// One randomized shape for the differential suite.
+struct Shape {
+  std::shared_ptr<const DirectedGraph> graph;
+  std::vector<double> probs;
+};
+
+/// Random recursive tree: the tree-exact regime from any source set.
+Shape TreeShape(Rng& rng, NodeId max_nodes) {
+  const auto n = static_cast<NodeId>(2 + rng.NextBounded(max_nodes - 1));
+  Shape shape;
+  shape.graph = Share(RandomTreeGraph(n, 1 + rng.NextBounded(4), rng));
+  shape.probs = RandomProbs(*shape.graph, rng.NextU64(), 0.05, 0.95);
+  return shape;
+}
+
+/// Three disjoint random trees in one graph: multi-source forests.
+Shape ForestShape(Rng& rng) {
+  std::vector<DirectedGraph> trees;
+  NodeId total = 0;
+  for (int t = 0; t < 3; ++t) {
+    trees.push_back(RandomTreeGraph(
+        static_cast<NodeId>(2 + rng.NextBounded(40)), 3, rng));
+    total += trees.back().num_nodes();
+  }
+  GraphBuilder builder(total);
+  NodeId offset = 0;
+  for (const DirectedGraph& tree : trees) {
+    for (const Edge& e : tree.edges()) {
+      builder.AddEdge(offset + e.src, offset + e.dst).CheckOK();
+    }
+    offset += tree.num_nodes();
+  }
+  Shape shape;
+  shape.graph = Share(std::move(builder).Build());
+  shape.probs = RandomProbs(*shape.graph, rng.NextU64());
+  return shape;
+}
+
+/// A chain of `k` diamonds (2 paths per link): enumerable when short,
+/// loopy when long. Probabilities include the exact 0 and 1 extremes.
+Shape DiamondChain(Rng& rng, NodeId k) {
+  GraphBuilder b(3 * k + 1);
+  for (NodeId d = 0; d < k; ++d) {
+    const NodeId top = 3 * d;
+    b.AddEdge(top, top + 1).CheckOK();
+    b.AddEdge(top, top + 2).CheckOK();
+    b.AddEdge(top + 1, top + 3).CheckOK();
+    b.AddEdge(top + 2, top + 3).CheckOK();
+  }
+  Shape shape;
+  shape.graph = Share(std::move(b).Build());
+  shape.probs = RandomProbs(*shape.graph, rng.NextU64());
+  shape.probs[rng.NextBounded(shape.probs.size())] = 0.0;
+  shape.probs[rng.NextBounded(shape.probs.size())] = 1.0;
+  return shape;
+}
+
+/// A tree plus shortcut edges (cycles and edges into sources included):
+/// every regime appears, depending on the source set.
+Shape LoopyShape(Rng& rng, NodeId n, std::size_t shortcuts) {
+  const DirectedGraph tree = RandomTreeGraph(n, 3, rng);
+  GraphBuilder b(n);
+  for (const Edge& e : tree.edges()) b.AddEdge(e.src, e.dst).CheckOK();
+  for (std::size_t added = 0; added < shortcuts;) {
+    const auto u = static_cast<NodeId>(rng.NextBounded(n));
+    const auto v = static_cast<NodeId>(rng.NextBounded(n));
+    if (u != v && b.AddEdgeIfAbsent(u, v)) ++added;
+  }
+  Shape shape;
+  shape.graph = Share(std::move(b).Build());
+  shape.probs = RandomProbs(*shape.graph, rng.NextU64(), 0.1, 0.6);
+  return shape;
+}
+
+/// 1–3 sources, one of them repeated half the time.
+std::vector<NodeId> PickSources(Rng& rng, NodeId n) {
+  std::vector<NodeId> sources;
+  const std::size_t count = 1 + rng.NextBounded(3);
+  for (std::size_t i = 0; i < count; ++i) {
+    sources.push_back(static_cast<NodeId>(rng.NextBounded(n)));
+  }
+  if (rng.NextBounded(2) == 0) sources.push_back(sources.front());
+  return sources;
+}
+
+/// Random sinks (reachable or not) plus a source and a repeat.
+std::vector<NodeId> PickSinks(Rng& rng, NodeId n,
+                              const std::vector<NodeId>& sources) {
+  std::vector<NodeId> sinks;
+  const std::size_t count = 1 + rng.NextBounded(16);
+  for (std::size_t i = 0; i < count; ++i) {
+    sinks.push_back(static_cast<NodeId>(rng.NextBounded(n)));
+  }
+  sinks.push_back(sources.back());
+  sinks.push_back(sinks.front());
+  return sinks;
+}
+
+/// Both ReachProbabilities overloads, AssessFeasibility and (for single
+/// sources) CascadeSizePmf against the oracle: reports and regimes equal,
+/// probabilities bitwise equal.
+void ExpectMatchesOracle(const Shape& shape, const std::vector<NodeId>& sources,
+                         const std::vector<NodeId>& sinks,
+                         const AnalyticOptions& options) {
+  const DirectedGraph& g = *shape.graph;
+  const oracle::DenseReach want =
+      oracle::Reach(g, shape.probs, sources, options);
+  EXPECT_EQ(AssessFeasibility(g, sources, options.feasibility),
+            want.report);
+
+  auto got = ReachProbabilities(g, shape.probs, sources, sinks, options);
+  auto every = ReachProbabilities(g, shape.probs, sources, options);
+  if (want.refused) {
+    ASSERT_FALSE(got.ok());
+    EXPECT_EQ(got.status().code(), StatusCode::kFailedPrecondition);
+    ASSERT_FALSE(every.ok());
+    return;
+  }
+  ASSERT_TRUE(got.ok()) << got.status();
+  EXPECT_EQ(got->method, want.method);
+  EXPECT_EQ(got->report, want.report);
+  EXPECT_EQ(got->nodes, sinks);
+  ASSERT_EQ(got->probability.size(), sinks.size());
+  for (std::size_t i = 0; i < sinks.size(); ++i) {
+    EXPECT_EQ(got->probability[i], want.probability[sinks[i]])
+        << "sink " << sinks[i] << " (" << AnalyticMethodName(want.method)
+        << ")";
+  }
+
+  ASSERT_TRUE(every.ok()) << every.status();
+  EXPECT_EQ(every->method, want.method);
+  std::vector<double> dense(g.num_nodes(), 0.0);
+  std::vector<char> listed(g.num_nodes(), 0);
+  ASSERT_EQ(every->nodes.size(), every->probability.size());
+  for (std::size_t i = 0; i < every->nodes.size(); ++i) {
+    const NodeId v = every->nodes[i];
+    EXPECT_EQ(listed[v], 0) << "node " << v << " listed twice";
+    listed[v] = 1;
+    dense[v] = every->probability[i];
+  }
+  EXPECT_EQ(every->nodes.size(), want.report.reachable_nodes);
+  EXPECT_EQ(dense, want.probability);
+
+  if (sources.size() == 1) {
+    auto pmf = CascadeSizePmf(g, shape.probs, sources[0], options);
+    ASSERT_TRUE(pmf.ok()) << pmf.status();
+    EXPECT_EQ(pmf->method, want.method);
+    EXPECT_EQ(pmf->impact,
+              oracle::Impact(g, shape.probs, sources[0], options));
+  }
+}
+
+/// Regime knobs cycled by the randomized suites. Enumeration stays under
+/// 2^12 subworlds to keep the suite fast.
+AnalyticOptions OptionsFor(std::size_t i) {
+  AnalyticOptions options;
+  options.feasibility.max_enumeration_edges = i % 3 == 0 ? 0 : 12;
+  options.require_exact = i % 4 == 3;
+  return options;
+}
+
+TEST(AnalyticDifferential, BitwiseEqualToDenseOracleAcrossShapesAndRegimes) {
+  Rng rng(20120401);
+  std::size_t regimes[3] = {0, 0, 0};
+  std::size_t refused = 0;
+  for (std::size_t trial = 0; trial < 240; ++trial) {
+    Shape shape;
+    switch (trial % 5) {
+      case 0: shape = TreeShape(rng, 300); break;
+      case 1: shape = ForestShape(rng); break;
+      case 2:
+        shape = DiamondChain(rng, static_cast<NodeId>(1 + rng.NextBounded(4)));
+        break;
+      case 3: shape = LoopyShape(rng, 40, 4); break;
+      default: shape = LoopyShape(rng, 12, 10); break;
+    }
+    const NodeId n = shape.graph->num_nodes();
+    for (std::size_t q = 0; q < 4; ++q) {
+      const std::vector<NodeId> sources =
+          q == 0 ? std::vector<NodeId>{0} : PickSources(rng, n);
+      const std::vector<NodeId> sinks = PickSinks(rng, n, sources);
+      const AnalyticOptions options = OptionsFor(trial + q);
+      ExpectMatchesOracle(shape, sources, sinks, options);
+      const oracle::DenseReach want =
+          oracle::Reach(*shape.graph, shape.probs, sources, options);
+      if (want.refused) {
+        ++refused;
+      } else {
+        ++regimes[static_cast<std::size_t>(want.method)];
+      }
+    }
+  }
+  // Every regime (and the refusal path) was actually exercised.
+  EXPECT_GT(regimes[static_cast<std::size_t>(AnalyticMethod::kTreeExact)], 0u);
+  EXPECT_GT(regimes[static_cast<std::size_t>(AnalyticMethod::kEnumeration)],
+            0u);
+  EXPECT_GT(regimes[static_cast<std::size_t>(AnalyticMethod::kLoopy)], 0u);
+  EXPECT_GT(refused, 0u);
+}
+
+TEST(AnalyticWorkspace, ReusedAcrossAlternatingGraphSizes) {
+  // The thread's one workspace, 1200 calls cycling a 3000-node tree, a
+  // 40-node loopy graph and a 7-node diamond chain: marks from a larger
+  // graph must never leak into a smaller one's answers, nor the reverse.
+  Rng rng(77);
+  std::vector<Shape> shapes;
+  shapes.push_back(TreeShape(rng, 3000));
+  shapes.push_back(LoopyShape(rng, 40, 4));
+  shapes.push_back(DiamondChain(rng, 2));
+  for (std::size_t call = 0; call < 1200; ++call) {
+    const Shape& shape = shapes[call % shapes.size()];
+    const NodeId n = shape.graph->num_nodes();
+    const std::vector<NodeId> sources = PickSources(rng, n);
+    ExpectMatchesOracle(shape, sources, PickSinks(rng, n, sources),
+                        OptionsFor(call));
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(AnalyticWorkspace, StampWraparoundForgetsEveryEarlierMark) {
+  Rng rng(78);
+  const Shape tree = TreeShape(rng, 400);
+  const NodeId n = tree.graph->num_nodes();
+  std::vector<NodeId> all(n);
+  for (NodeId v = 0; v < n; ++v) all[v] = v;
+  const NodeId root[] = {0};
+  const NodeId leaf[] = {n - 1};  // the last node attaches as a leaf
+
+  AnalyticWorkspace& ws = AnalyticWorkspace::ForThisThread();
+  // Wrap once first, so the first exploration stamps every node 1 ...
+  ws.ForceStampForTesting(0xFFFFFFFFu);
+  ws.Explore(*tree.graph, root, tree.probs);
+  ASSERT_NE(ws.LocalIndex(n / 2), AnalyticWorkspace::kUnreached);
+  // ... and the wrap lands the next one on stamp 1 again: without the
+  // clear, every node would still read as reached.
+  ws.ForceStampForTesting(0xFFFFFFFFu);
+  ws.Explore(*tree.graph, leaf, tree.probs);
+  EXPECT_EQ(ws.order().size(), 1u);
+  for (NodeId v = 0; v + 1 < n; ++v) {
+    ASSERT_EQ(ws.LocalIndex(v), AnalyticWorkspace::kUnreached) << v;
+  }
+  // Calls straddling a second wrap still match the oracle exactly.
+  ws.ForceStampForTesting(0xFFFFFFF0u);
+  for (std::size_t call = 0; call < 40; ++call) {
+    const std::vector<NodeId> sources = PickSources(rng, n);
+    ExpectMatchesOracle(tree, sources, all, AnalyticOptions{});
+  }
 }
 
 // --------------------------------------------- AnalyticImpact (core/)
@@ -605,6 +1169,53 @@ TEST(BackendDispatcher, InvalidRequestsStillFailThroughTheBankPath) {
       *generation, {FlowQuery(0, 9999, QueryBackend::kAnalytic)});
   ASSERT_FALSE(results[0].status.ok());
   EXPECT_EQ(results[0].status.code(), StatusCode::kOutOfRange);
+}
+
+TEST(BackendDispatcher, AllAnalyticBatchSkipsTheBankPlanAndTimesEachAnswer) {
+  const PointIcm model = TreeModel(60, 24);
+  SampleBank bank = MakeBank(model, 256);
+  QueryEngine engine = MakeEngine(bank);
+  const auto generation = bank.Acquire();
+  // A bank batch first, so the plan's instruments exist with their own
+  // bucket bounds before this test looks them up.
+  auto results = engine.AnswerBatch(*generation,
+                                    {FlowQuery(0, 5, QueryBackend::kBank)});
+  ASSERT_TRUE(results[0].status.ok()) << results[0].status;
+  obs::Counter& batches = obs::GetCounter("serve.query.batches_total");
+  obs::Histogram& sizes = obs::GetHistogram("serve.query.batch_size", {1.0});
+  obs::Histogram& flow =
+      obs::GetHistogram("serve.query.latency_ms.flow", {1.0});
+  obs::Histogram& joint =
+      obs::GetHistogram("serve.query.latency_ms.joint", {1.0});
+  const std::uint64_t batches_before = batches.Value();
+  const std::uint64_t sizes_before = sizes.Snapshot().total;
+  const std::uint64_t flow_before = flow.Snapshot().total;
+  const std::uint64_t joint_before = joint.Snapshot().total;
+
+  // An answer and a refusal, both claimed by the analytic backend: an
+  // explicit analytic joint ask fails before anything is timed.
+  const Edge& e = model.graph().edge(0);
+  QueryRequest refused;
+  refused.kind = QueryKind::kJoint;
+  refused.flows.push_back({e.src, e.dst, true});
+  refused.backend = QueryBackend::kAnalytic;
+  results = engine.AnswerBatch(*generation,
+                               {FlowQuery(0, 5, QueryBackend::kAuto), refused});
+  ASSERT_TRUE(results[0].status.ok()) << results[0].status;
+  EXPECT_EQ(results[0].backend, QueryBackend::kAnalytic);
+  EXPECT_GT(results[0].latency_ms, 0.0);
+  EXPECT_EQ(results[1].status.code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(results[1].backend, QueryBackend::kAnalytic);
+  if constexpr (obs::MetricsEnabled()) {
+    // No empty plan run: no batch counted, no zero-size sample ...
+    EXPECT_EQ(batches.Value(), batches_before);
+    EXPECT_EQ(sizes.Snapshot().total, sizes_before);
+    // ... the answer's own latency reaches the per-kind instruments, and
+    // the refusal, which answered nothing, adds no 0 ms sample.
+    EXPECT_EQ(flow.Snapshot().total, flow_before + 1);
+    EXPECT_GT(obs::GetGauge("serve.query.latency_ms.flow.p50").Value(), 0.0);
+    EXPECT_EQ(joint.Snapshot().total, joint_before);
+  }
 }
 
 // --------------------------------------------- randomized differential

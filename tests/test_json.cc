@@ -2,8 +2,41 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <limits>
+#include <string>
+#include <vector>
+
+#include "stats/rng.h"
+
 namespace infoflow {
 namespace {
+
+/// The writer's number format as a precision search: the first %.{p}g,
+/// p = 1…16, that strtod maps back to v, else %.17g (integers up to 2^53
+/// as %.0f, non-finite as null). The production writer derives the digit
+/// count from std::to_chars instead; this stays as its byte-for-byte
+/// reference.
+std::string ReferenceNumber(double v) {
+  constexpr double kMaxExactInteger = 9007199254740992.0;  // 2^53
+  char buf[32];
+  if (std::isfinite(v) && v == std::floor(v) &&
+      std::fabs(v) <= kMaxExactInteger) {
+    std::snprintf(buf, sizeof(buf), "%.0f", v);
+    return buf;
+  }
+  if (!std::isfinite(v)) return "null";
+  for (int precision = 1; precision < 17; ++precision) {
+    std::snprintf(buf, sizeof(buf), "%.*g", precision, v);
+    if (std::strtod(buf, nullptr) == v) return buf;
+  }
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  return buf;
+}
 
 TEST(JsonParse, Scalars) {
   EXPECT_TRUE(ParseJson("null")->is_null());
@@ -104,6 +137,65 @@ TEST(JsonDump, LargeMagnitudeDoublesRoundTripExactly) {
   // or exponent (wire compatibility for counters).
   EXPECT_EQ(JsonValue(9007199254740991.0).Dump(), "9007199254740991");
   EXPECT_EQ(JsonValue(4e15).Dump(), "4000000000000000");
+}
+
+TEST(JsonDump, NumbersMatchThePrecisionSearchReference) {
+  Rng rng(20120401);
+  std::vector<double> corpus;
+  // Random bit patterns: every exponent, NaN/inf included.
+  for (int i = 0; i < 30000; ++i) {
+    corpus.push_back(std::bit_cast<double>(rng.NextU64()));
+  }
+  // U(0,1) draws and products of them: the estimates and path products
+  // the serve daemon writes.
+  for (int i = 0; i < 20000; ++i) {
+    const double u = rng.NextDouble();
+    corpus.push_back(u);
+    corpus.push_back(u * rng.NextDouble() * rng.NextDouble());
+  }
+  // Where %g switches between fixed and exponent notation, and where the
+  // integer fast path ends: walk ulps on both sides.
+  for (const double edge : {1e-5, 1e-4, 1e15, 1e16, 1e17, 9007199254740992.0}) {
+    double up = edge;
+    double down = edge;
+    for (int k = 0; k < 300; ++k) {
+      corpus.push_back(up);
+      corpus.push_back(down);
+      up = std::nextafter(up, std::numeric_limits<double>::infinity());
+      down = std::nextafter(down, 0.0);
+    }
+  }
+  corpus.push_back(9007199254740991.0);  // 2^53 - 1
+  corpus.push_back(9007199254740994.0);  // 2^53 + 2: 2^53 + 1 rounds down
+  // Every power of two and its neighbours: there the rounding interval is
+  // lopsided and the shortest digits can miss the nearest decimal.
+  for (int e = -1074; e <= 1023; ++e) {
+    const double p = std::ldexp(1.0, e);
+    corpus.push_back(p);
+    corpus.push_back(std::nextafter(p, 0.0));
+    corpus.push_back(std::nextafter(p, std::numeric_limits<double>::infinity()));
+  }
+  // Subnormals.
+  for (int i = 0; i < 10000; ++i) {
+    corpus.push_back(std::bit_cast<double>(rng.NextU64() >> 12));
+  }
+  corpus.push_back(std::numeric_limits<double>::denorm_min());
+  corpus.push_back(std::numeric_limits<double>::min());
+  corpus.push_back(0.0);
+  // Negative values: the whole corpus mirrored (-0.0 included).
+  const std::size_t positives = corpus.size();
+  for (std::size_t i = 0; i < positives; ++i) corpus.push_back(-corpus[i]);
+
+  std::size_t mismatches = 0;
+  for (const double x : corpus) {
+    const std::string got = JsonValue(x).Dump();
+    const std::string want = ReferenceNumber(x);
+    if (got != want && ++mismatches <= 10) {
+      ADD_FAILURE() << "bits " << std::bit_cast<std::uint64_t>(x)
+                    << ": dumped " << got << ", reference " << want;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "of " << corpus.size() << " values";
 }
 
 TEST(JsonDump, BuilderStyleConstruction) {

@@ -67,6 +67,36 @@ TEST(ObsDisabled, StripReplayInstrumentsAreInert) {
   EXPECT_EQ(latency.Snapshot().total, 0u);
 }
 
+TEST(ObsDisabled, ServeQueryInstrumentsAreInert) {
+  // The query engine's batch counters, the per-kind latency histograms
+  // and quantile gauges (fed by bank batches and analytic answers alike)
+  // and the resolved-once backend counters compile to the same stubs.
+  Counter& batches = GetCounter("serve.query.batches_total");
+  batches.Increment();
+  EXPECT_EQ(batches.Value(), 0u);
+  Histogram& sizes = GetHistogram("serve.query.batch_size", {1.0, 2.0});
+  sizes.Record(1.0);
+  EXPECT_EQ(sizes.Snapshot().total, 0u);
+  Histogram& flow =
+      GetHistogram("serve.query.latency_ms.flow", LogBuckets(0.05, 1e4, 3));
+  flow.Record(0.3);
+  EXPECT_EQ(flow.Snapshot().total, 0u);
+  for (const char* name :
+       {"serve.query.latency_ms.flow.p50", "serve.query.latency_ms.flow.p95",
+        "serve.query.latency_ms.flow.p99"}) {
+    Gauge& g = GetGauge(name);
+    g.Set(0.3);
+    EXPECT_EQ(g.Value(), 0.0) << name;
+  }
+  for (const char* name : {"serve.query.backend_total.auto",
+                           "serve.query.backend_total.analytic",
+                           "serve.query.backend_total.bank"}) {
+    Counter& c = GetCounter(name);
+    c.Increment();
+    EXPECT_EQ(c.Value(), 0u) << name;
+  }
+}
+
 TEST(ObsDisabled, SnapshotIsEmptyButSerializes) {
   GetCounter("disabled.snap").Increment(5);
   const MetricsSnapshot snap = MetricsRegistry::Global().Snapshot();

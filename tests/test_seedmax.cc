@@ -489,6 +489,44 @@ TEST(RrIndex, CachesPerGenerationAndPrimeIsLazyUntilFirstUse) {
   }
 }
 
+TEST(RrIndex, ConcurrentAcquiresOfAFreshGenerationShareOneBuild) {
+  // A top-k racing the rebuild worker's Prime: both ask for the same new
+  // generation at once. One build runs; the other caller waits for it and
+  // receives the very same set. The graph is big enough that one build
+  // outlasts the scheduling gap between the two callers' starts, so
+  // without single flight both would build.
+  const PointIcm model = SmallRandomModel(45, 600, 1200);
+  serve::SampleBank bank = MakeBank(model, 512, /*seed=*/9, /*chains=*/2);
+  RrIndex index(bank.graph_ptr(), /*num_threads=*/2);
+  const obs::Counter& builds =
+      obs::GetCounter("seedmax.sketch.builds_total");
+  for (int round = 0; round < 4; ++round) {
+    bank.Refresh();
+    const auto generation = bank.Acquire();
+    const std::uint64_t builds_before = builds.Value();
+    std::shared_ptr<const RrSketchSet> got[2];
+    std::atomic<int> ready{0};
+    std::vector<std::thread> callers;
+    for (int t = 0; t < 2; ++t) {
+      callers.emplace_back([&, t] {
+        ready.fetch_add(1);
+        while (ready.load() < 2) {
+        }
+        auto sketches = index.Acquire(generation);
+        ASSERT_TRUE(sketches.ok()) << sketches.status();
+        got[t] = *sketches;
+      });
+    }
+    for (std::thread& caller : callers) caller.join();
+    ASSERT_NE(got[0], nullptr);
+    EXPECT_EQ(got[0].get(), got[1].get()) << "round " << round;
+    EXPECT_EQ(got[0]->generation(), generation->id());
+    if constexpr (obs::MetricsEnabled()) {
+      EXPECT_EQ(builds.Value(), builds_before + 1) << "round " << round;
+    }
+  }
+}
+
 TEST(RrIndex, RepublishUnderConcurrentTopkReaders) {
   // TSan coverage for the RCU discipline: readers keep acquiring and
   // selecting over whatever set is current while refreshes re-prime the
