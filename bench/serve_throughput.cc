@@ -19,12 +19,6 @@
 /// best of 3 runs so the CI gate on the ratio is stable under scheduler
 /// noise.
 ///
-/// A shard-count sweep {1, 2, 4, 8} then times the sharded router
-/// (src/serve/router.h) on the same batch and the largest bank, answers
-/// cross-checked bit-for-bit against the single engine; its records land
-/// in the JSON under `shard_sweep`, where `router_tax` (the N=1 routing
-/// overhead) is CI-gated under 5%.
-///
 /// Emits BENCH_serve.json (in --csv <dir> when given, else the working
 /// directory) with one record per bank size; `speedup_batch` is the
 /// headline fresh-vs-bank ratio at the 100-query batch and `reach_speedup`
@@ -33,7 +27,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <memory>
-#include <optional>
 #include <thread>
 #include <vector>
 
@@ -41,11 +34,8 @@
 #include "core/multi_chain.h"
 #include "graph/generators.h"
 #include "obs/metrics.h"
-#include "serve/partition.h"
 #include "serve/query_engine.h"
-#include "serve/router.h"
 #include "serve/sample_bank.h"
-#include "serve/shard_engine.h"
 #include "util/json.h"
 
 namespace infoflow::bench {
@@ -57,8 +47,6 @@ using serve::QueryEngineOptions;
 using serve::QueryRequest;
 using serve::QueryResult;
 using serve::SampleBank;
-using serve::ShardedQueryEngine;
-using serve::ShardSet;
 
 /// A 100-query batch: single-source flow queries whose sources come from a
 /// small pool of popular nodes (so the engine's frontier dedup has the
@@ -112,8 +100,6 @@ int Run(const BenchArgs& args) {
                  : std::vector<std::size_t>{256, 1024, 4096};
   // Fresh answering is slow by construction; time a few queries and scale.
   const std::size_t fresh_reps = args.quick ? 3 : 5;
-  // The largest bank is kept alive for the shard-count sweep below.
-  std::optional<SampleBank> sweep_bank;
 
   CsvWriter csv({"bank_states", "fill_s", "bank_batch_s", "bank_queries_per_s",
                  "scalar_batch_s", "reach_speedup", "fresh_per_query_s",
@@ -210,78 +196,6 @@ int Run(const BenchArgs& args) {
     record["speedup_batch"] = speedup;
     record["speedup_incl_fill"] = speedup_incl_fill;
     records.push_back(JsonValue(std::move(record)));
-    if (bank_states == bank_sizes.back()) {
-      sweep_bank = std::move(bank).ValueOrDie();
-    }
-  }
-
-  // Shard-count sweep: the sharded router (one engine per shard, cut-edge
-  // frontier exchange — src/serve/router.h) on the same 100-query batch
-  // and the largest bank, answers cross-checked bit-for-bit against the
-  // single engine first. `router_tax` is the N=1 overhead of driving the
-  // shard plan at all (the CI gate keeps it under 5%); `speedup_vs_single`
-  // is honest wall-clock, so on a single hardware thread (per-shard work
-  // serializes on one core) it hovers near 1/(1+tax) rather than scaling
-  // with N — the record carries `hardware_threads` so readers can tell.
-  Banner("Shard-count sweep — sharded router vs single engine");
-  JsonValue::Array shard_records;
-  CsvWriter shard_csv(
-      {"shards", "cut_edges", "shard_batch_s", "speedup_vs_single",
-       "router_tax"});
-  {
-    const auto generation = sweep_bank->Acquire();
-    auto engine =
-        QueryEngine::Create(sweep_bank->graph_ptr(), QueryEngineOptions{});
-    engine.status().CheckOK();
-    engine->AnswerBatch(*generation, {queries[0]});  // warm the pool
-    std::vector<QueryResult> single_results;
-    const double single_batch_s = TimeBest(3, [&] {
-      single_results = engine->AnswerBatch(*generation, queries);
-    });
-    std::printf("%7s | %9s | %13s | %9s | %10s   (single engine: %.5f s)\n",
-                "shards", "cut edges", "shard batch s", "speedup",
-                "router tax", single_batch_s);
-    for (const std::uint32_t shards : {1u, 2u, 4u, 8u}) {
-      auto partition =
-          PartitionGraph(*sweep_bank->graph_ptr(), shards, args.seed);
-      partition.status().CheckOK();
-      const std::size_t cut_edges = partition->cut_edges.size();
-      auto shard_set = std::make_shared<ShardSet>(
-          std::make_shared<const GraphPartition>(std::move(*partition)));
-      auto sharded = ShardedQueryEngine::Create(sweep_bank->graph_ptr(),
-                                                shard_set,
-                                                QueryEngineOptions{});
-      sharded.status().CheckOK();
-      shard_set->Prime(*generation);
-      std::vector<QueryResult> results;
-      sharded->AnswerBatch(*generation, {queries[0]});  // warm the pool
-      const double shard_batch_s = TimeBest(
-          3, [&] { results = sharded->AnswerBatch(*generation, queries); });
-      for (std::size_t q = 0; q < results.size(); ++q) {
-        results[q].status.CheckOK();
-        if (results[q].estimates[0].value !=
-            single_results[q].estimates[0].value) {
-          std::fprintf(stderr, "shard/single divergence on query %zu at %u "
-                       "shards\n", q, shards);
-          return 1;
-        }
-      }
-      const double speedup = single_batch_s / shard_batch_s;
-      const double router_tax = shard_batch_s / single_batch_s - 1.0;
-      std::printf("%7u | %9zu | %13.5f | %8.2fx | %9.1f%%\n", shards,
-                  cut_edges, shard_batch_s, speedup, 100.0 * router_tax);
-      shard_csv.AppendNumericRow({static_cast<double>(shards),
-                                  static_cast<double>(cut_edges),
-                                  shard_batch_s, speedup, router_tax});
-      JsonValue::Object record;
-      record["shards"] = static_cast<double>(shards);
-      record["cut_edges"] = static_cast<double>(cut_edges);
-      record["shard_batch_s"] = shard_batch_s;
-      record["single_batch_s"] = single_batch_s;
-      record["speedup_vs_single"] = speedup;
-      record["router_tax"] = router_tax;
-      shard_records.push_back(JsonValue(std::move(record)));
-    }
   }
 
   JsonValue::Object doc;
@@ -301,7 +215,6 @@ int Run(const BenchArgs& args) {
   // against an INFOFLOW_NO_METRICS run to gate observability overhead.
   doc["metrics_enabled"] = obs::MetricsEnabled();
   doc["results"] = JsonValue(std::move(records));
-  doc["shard_sweep"] = JsonValue(std::move(shard_records));
   const std::string json = JsonValue(std::move(doc)).Dump();
   const std::string path = args.WantCsv() ? args.csv_dir + "/BENCH_serve.json"
                                           : "BENCH_serve.json";
@@ -319,7 +232,6 @@ int Run(const BenchArgs& args) {
               "reuse wins by the sampling/BFS cost ratio and grows with "
               "frontier sharing.\n");
   args.MaybeWriteCsv(csv, "serve_throughput.csv");
-  args.MaybeWriteCsv(shard_csv, "serve_shard_sweep.csv");
   return 0;
 }
 

@@ -68,14 +68,14 @@ class BatchReachabilityWorkspace {
                          const std::uint64_t* edge_words, NodeId target,
                          std::uint64_t lane_mask = ~std::uint64_t{0});
 
-  /// \brief Incremental interface, for callers that interleave propagation
-  /// with externally delivered lane masks (the sharded router's cut-edge
-  /// frontier exchange): `Begin` resets the workspace, then any sequence of
-  /// `Seed`/`Propagate` calls grows the reached masks monotonically —
-  /// lanes handed across a shard boundary are Seeded at the receiving node
-  /// and the next Propagate continues from exactly that delta instead of
-  /// recomputing the fixpoint from scratch. Every Begin/Seed sequence must
-  /// end with a Propagate before the workspace is reused.
+  /// \brief Incremental interface, for callers that seed lane masks
+  /// themselves (the reverse sketch build seeds each target with its
+  /// block's surviving lanes): `Begin` resets the workspace, then any
+  /// sequence of `Seed`/`Propagate` calls grows the reached masks
+  /// monotonically — lanes Seeded after a Propagate make the next one
+  /// continue from exactly that delta instead of recomputing the fixpoint
+  /// from scratch. Every Begin/Seed sequence must end with a Propagate
+  /// before the workspace is reused.
   ///
   /// Run(g, srcs, words, lanes) ≡ Begin(g); Seed(s, lanes) ∀s; Propagate().
   void Begin(const DirectedGraph& graph);

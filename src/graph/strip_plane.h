@@ -12,9 +12,9 @@
 /// propagate.
 ///
 /// Planes are immutable after construction and published by shared_ptr
-/// swap (BankGeneration::AcquireStripPlane, ShardView::AcquireStripPlane):
-/// readers that acquired a plane keep replaying it across concurrent bank
-/// refreshes, mirroring the generation RCU discipline.
+/// swap (BankGeneration::AcquireStripPlane): readers that acquired a plane
+/// keep replaying it across concurrent bank refreshes, mirroring the
+/// generation RCU discipline.
 
 #pragma once
 

@@ -24,9 +24,9 @@
 /// references whatever the sweep schedule (the differential suite in
 /// tests/test_strip_reachability.cc pins this).
 ///
-/// Callers that pick the width at runtime (query engine, sharded router,
-/// sketch build, impact cascades) go through the StripWorkspace interface;
-/// the per-pass virtual dispatch is amortized over an entire strip BFS.
+/// Callers that pick the width at runtime (query engine, sketch build,
+/// impact cascades) go through the StripWorkspace interface; the per-pass
+/// virtual dispatch is amortized over an entire strip BFS.
 
 #pragma once
 
@@ -82,7 +82,7 @@ inline constexpr std::size_t kStripWorkingSetBudget = 640 * 1024;
 /// Mirrors the BatchReachabilityWorkspace API with every mask widened to a
 /// words()-word span; see that class for the contract of each member
 /// (Run ≡ Begin + Seed* + Propagate, RunUntil's early exit, the incremental
-/// Seed/Propagate discipline of the sharded router's cut-edge exchange).
+/// Seed/Propagate discipline the reverse sketch build seeds through).
 /// Not thread-safe; give each worker its own instance.
 class StripWorkspace {
  public:

@@ -21,8 +21,6 @@ struct IndexMetrics {
       &obs::GetCounter("seedmax.sketch.postings_total");
   obs::Counter* reverse_passes =
       &obs::GetCounter("seedmax.sketch.reverse_passes_total");
-  obs::Counter* blocks_reused =
-      &obs::GetCounter("seedmax.sketch.blocks_reused_total");
   obs::Histogram* build_ms = &obs::GetHistogram(
       "seedmax.sketch.build_ms", obs::LogBuckets(0.05, 10000.0, 3));
   obs::Gauge* generation = &obs::GetGauge("seedmax.index.generation");
@@ -151,43 +149,16 @@ Result<RrSketchSet> RrSketchSet::Build(
   set.num_sketches_ =
       static_cast<std::uint64_t>(effective_rows) * targets.size();
 
-  // Incremental reuse plan: a block whose edge-major plane is bit-identical
-  // to the previously indexed generation's would run the exact same reverse
-  // passes, so its postings can be lifted from the previous set. Only the
-  // default build shape qualifies (unconditioned, all-node universe, same
-  // graph and row count) — anything else diffs against the wrong lanes.
   IndexMetrics& metrics = IndexMetrics::Get();
   const std::size_t num_targets = targets.size();
-  const bool can_reuse =
-      options.previous != nullptr && options.previous_rows != nullptr &&
-      options.given.empty() && options.targets.empty() &&
-      !options.previous->conditioned() &&
-      options.previous->universe() == num_targets &&
-      options.previous->num_groups() == num_targets * num_blocks &&
-      options.previous->total_rows() == generation.num_rows() &&
-      options.previous_rows->num_edges() == generation.num_edges() &&
-      options.previous_rows->num_rows() == generation.num_rows();
-  std::vector<std::uint8_t> fresh(num_blocks, 1);
-  std::size_t reused_blocks = 0;
-  if (can_reuse) {
-    for (std::size_t b = 0; b < num_blocks; ++b) {
-      if (std::memcmp(generation.BlockEdgeWords(b),
-                      options.previous_rows->BlockEdgeWords(b),
-                      generation.num_edges() * sizeof(std::uint64_t)) == 0) {
-        fresh[b] = 0;
-        ++reused_blocks;
-      }
-    }
-    metrics.blocks_reused->Increment(reused_blocks);
-  }
 
-  // Reverse passes over the fresh blocks: gather the block's plane into
+  // Reverse passes over every block: gather the block's plane into
   // transposed edge order once, then one Begin/Seed/Propagate pass per
   // target answers "who reaches t" for all 64 rows of the block
   // simultaneously. Blocks are independent, so they fan out over the pool
   // when one is supplied — each worker task owns its own workspace and
-  // gathered plane and fills per-block posting vectors, which the merge
-  // below concatenates in block order (bit-identical to the serial loop;
+  // gathered plane and fills per-block posting vectors, which the CSR
+  // build below reads in block order (bit-identical to the serial loop;
   // TouchedNodes is ascending either way).
   const DirectedGraph& reversed = view.reversed();
   struct NodePosting {
@@ -212,12 +183,12 @@ Result<RrSketchSet> RrSketchSet::Build(
                                  std::uint64_t* reversed_strip,
                                  std::size_t s) {
       const std::size_t b0 = s * strip_words;
-      // Reused and lane-dead blocks ride along with zero lane words: their
-      // masks stay zero, so they emit nothing — exactly a skip.
+      // Lane-dead blocks ride along with zero lane words: their masks stay
+      // zero, so they emit nothing — exactly a skip.
       std::uint64_t strip_lanes[kMaxStripWords] = {};
       std::uint64_t live = 0;
       for (unsigned w = 0; w < strip_words && b0 + w < num_blocks; ++w) {
-        if (fresh[b0 + w] != 0) strip_lanes[w] = lane[b0 + w];
+        strip_lanes[w] = lane[b0 + w];
         live |= strip_lanes[w];
       }
       if (live == 0) return;
@@ -271,7 +242,7 @@ Result<RrSketchSet> RrSketchSet::Build(
   const auto build_block = [&](BatchReachabilityWorkspace& workspace,
                                std::uint64_t* reversed_words,
                                std::size_t b) {
-    if (fresh[b] == 0 || lane[b] == 0) return;
+    if (lane[b] == 0) return;
     view.GatherBlock(generation.BlockEdgeWords(b), reversed_words);
     std::vector<NodePosting>& out = block_raw[b];
     for (std::size_t ti = 0; ti < num_targets; ++ti) {
@@ -313,69 +284,25 @@ Result<RrSketchSet> RrSketchSet::Build(
   }
   }
 
-  // Lift the reused blocks' postings out of the previous set's node-major
-  // CSR into the raw (block, target, node) order the merge expects: a
-  // stable counting sort by (block, target) key over an ascending node
-  // scan reproduces exactly what the reverse passes would have emitted.
-  std::vector<NodePosting> reused;
-  std::vector<std::size_t> key_offsets;
-  if (reused_blocks > 0) {
-    const RrSketchSet& prev = *options.previous;
-    key_offsets.assign(num_blocks * num_targets + 1, 0);
-    for (NodeId u = 0; u < n; ++u) {
-      for (const RrPosting& p : prev.Postings(u)) {
-        const std::size_t b = p.group % num_blocks;
-        if (fresh[b] != 0) continue;
-        ++key_offsets[b * num_targets + p.group / num_blocks + 1];
-      }
-    }
-    for (std::size_t k = 1; k < key_offsets.size(); ++k) {
-      key_offsets[k] += key_offsets[k - 1];
-    }
-    reused.resize(key_offsets.back());
-    std::vector<std::size_t> cursor(key_offsets.begin(),
-                                    key_offsets.end() - 1);
-    for (NodeId u = 0; u < n; ++u) {
-      for (const RrPosting& p : prev.Postings(u)) {
-        const std::size_t b = p.group % num_blocks;
-        if (fresh[b] != 0) continue;
-        reused[cursor[b * num_targets + p.group / num_blocks]++] = {u, p};
-      }
-    }
-  }
-
-  // Merge in block order: fresh blocks contribute their just-built
-  // postings, reused blocks their lifted segment.
-  std::size_t total = reused.size();
-  for (const std::vector<NodePosting>& br : block_raw) total += br.size();
-  std::vector<NodePosting> raw;
-  raw.reserve(total);
-  for (std::size_t b = 0; b < num_blocks; ++b) {
-    if (fresh[b] != 0) {
-      raw.insert(raw.end(), block_raw[b].begin(), block_raw[b].end());
-    } else {
-      raw.insert(raw.end(),
-                 reused.begin() + static_cast<std::ptrdiff_t>(
-                                      key_offsets[b * num_targets]),
-                 reused.begin() + static_cast<std::ptrdiff_t>(
-                                      key_offsets[(b + 1) * num_targets]));
-    }
-  }
-
-  // Counting sort the (node, group, lanes) triples into a CSR keyed by
-  // node — the layout the selector's gain loop walks sequentially.
+  // Counting sort the (node, group, lanes) triples, taken in block order,
+  // into a CSR keyed by node — the layout the selector's gain loop walks
+  // sequentially.
   set.offsets_.assign(static_cast<std::size_t>(n) + 1, 0);
-  for (const NodePosting& np : raw) ++set.offsets_[np.node + 1];
+  for (const std::vector<NodePosting>& br : block_raw) {
+    for (const NodePosting& np : br) ++set.offsets_[np.node + 1];
+  }
   for (std::size_t v = 1; v <= n; ++v) set.offsets_[v] += set.offsets_[v - 1];
-  set.postings_.resize(raw.size());
+  set.postings_.resize(set.offsets_.back());
   std::vector<std::size_t> cursor(set.offsets_.begin(),
                                   set.offsets_.end() - 1);
-  for (const NodePosting& np : raw) {
-    set.postings_[cursor[np.node]++] = np.posting;
+  for (const std::vector<NodePosting>& br : block_raw) {
+    for (const NodePosting& np : br) {
+      set.postings_[cursor[np.node]++] = np.posting;
+    }
   }
 
   metrics.builds->Increment();
-  metrics.postings->Increment(raw.size());
+  metrics.postings->Increment(set.postings_.size());
   metrics.build_ms->Record(timer.Millis());
   metrics.generation->Set(static_cast<double>(generation.id()));
   return set;
@@ -400,23 +327,10 @@ Result<std::shared_ptr<const RrSketchSet>> RrIndex::Acquire(
   // it; a failed build published nothing, so the next caller retries it.
   std::lock_guard<std::mutex> build_lock(build_mutex_);
   if (auto set = published()) return set;
-  std::shared_ptr<const RrSketchSet> previous;
-  std::shared_ptr<const serve::BankGeneration> previous_rows;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    previous = current_;
-    previous_rows = indexed_rows_;
-  }
   // Build outside mutex_: inversion is the expensive step and concurrent
-  // readers of the previous set must not stall behind it. The previous
-  // set + rows are the incremental diff base — unchanged blocks reuse
-  // their postings.
+  // readers of the previous set must not stall behind it.
   RrBuildOptions options;
   options.pool = &pool_;
-  if (previous != nullptr && previous_rows != nullptr) {
-    options.previous = previous.get();
-    options.previous_rows = previous_rows.get();
-  }
   auto built = RrSketchSet::Build(view_, *generation, options);
   IF_RETURN_NOT_OK(built.status());
   auto set = std::make_shared<const RrSketchSet>(std::move(*built));
@@ -424,10 +338,7 @@ Result<std::shared_ptr<const RrSketchSet>> RrIndex::Acquire(
   ever_built_ = true;
   // A caller holding a stale generation may build it after a newer one
   // was published; keep the newest — generations only move forward.
-  if (current_ == nullptr || current_->generation() <= id) {
-    current_ = set;
-    indexed_rows_ = std::move(generation);
-  }
+  if (current_ == nullptr || current_->generation() <= id) current_ = set;
   return set;
 }
 

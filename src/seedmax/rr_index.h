@@ -28,11 +28,11 @@
 /// constrained maximization only ever counts admissible pseudo-states.
 ///
 /// `RrIndex` caches the default (unconstrained, all-targets) sketch set
-/// per bank generation with the same RCU publish discipline as
-/// serve/shard_engine.h's views: immutable once built, swapped by
-/// shared_ptr under a mutex, primed eagerly when the server publishes a
-/// refresh or drift rebuild so streamed evidence invalidates stale
-/// sketches before the next top-k query pays the build.
+/// per bank generation with the same RCU publish discipline as the bank's
+/// own generations: immutable once built, swapped by shared_ptr under a
+/// mutex, primed eagerly when the server publishes a refresh or drift
+/// rebuild so streamed evidence invalidates stale sketches before the next
+/// top-k query pays the build.
 
 #pragma once
 
@@ -103,8 +103,6 @@ struct RrPosting {
   std::uint64_t lanes;
 };
 
-class RrSketchSet;  // below
-
 /// \brief Sketch-build tuning.
 struct RrBuildOptions {
   /// Spread universe: RR sketches are rooted at every listed target (the
@@ -125,17 +123,6 @@ struct RrBuildOptions {
   /// serial. Per-block postings are merged back in block order, so the
   /// built set is bit-identical to a serial build.
   ThreadPool* pool = nullptr;
-  /// \brief Incremental rebuild (the RrIndex refresh path): blocks whose
-  /// edge-major planes are bit-identical between `previous_rows` and the
-  /// new generation reuse `previous`'s postings instead of re-running
-  /// their reverse passes — MH chains that moved few rows between
-  /// generations only pay for the blocks that actually changed. Both must
-  /// be set together, and reuse only engages for the default build shape
-  /// (unconditioned, all-node targets, same graph, same row count); any
-  /// mismatch silently falls back to a full build. The result is
-  /// bit-identical to a from-scratch build either way.
-  const RrSketchSet* previous = nullptr;
-  const serve::BankGeneration* previous_rows = nullptr;
 };
 
 /// \brief An immutable set of RR sketches for one bank generation.
@@ -192,10 +179,9 @@ class RrSketchSet {
   std::vector<RrPosting> postings_;
 };
 
-/// \brief Generation-keyed cache of the default sketch set, with the same
-/// publish discipline as ShardEngine: Acquire gathers (builds) on first
-/// sight of a generation and hands out immutable shared_ptr snapshots;
-/// readers holding an old set are never invalidated. Builds are
+/// \brief Generation-keyed cache of the default sketch set: Acquire builds
+/// on first sight of a generation and hands out immutable shared_ptr
+/// snapshots; readers holding an old set are never invalidated. Builds are
 /// single-flight: they run one at a time, and a caller that wants the
 /// generation being built waits for that build instead of starting a
 /// second one.
@@ -215,21 +201,18 @@ class RrIndex {
 
   /// \brief The default (all-targets, unconditioned) sketch set for
   /// `generation`, building and publishing it if this generation has not
-  /// been seen yet. The generation handle is retained alongside the
-  /// published set so the *next* build can diff block planes against it
-  /// and reuse the postings of unchanged blocks (at most one extra
-  /// generation is kept alive at a time). Concurrent callers asking for a
-  /// generation under construction wait for that build and share its set;
-  /// if it fails, the next of them retries it.
+  /// been seen yet. Concurrent callers asking for a generation under
+  /// construction wait for that build and share its set; if it fails, the
+  /// next of them retries it.
   Result<std::shared_ptr<const RrSketchSet>> Acquire(
       std::shared_ptr<const serve::BankGeneration> generation);
 
-  /// \brief Epoch fan-out hook, called by the server next to
-  /// ShardSet::Prime when a refresh or drift rebuild publishes: eagerly
-  /// re-inverts the new generation **iff a sketch set was ever built** —
-  /// a daemon that never served a top-k query does not pay sketch builds
-  /// on every refresh, while one that did keeps its index warm (and
-  /// streamed evidence deterministically invalidates stale sketches).
+  /// \brief Epoch fan-out hook, called by the server when a refresh or
+  /// drift rebuild publishes: eagerly re-inverts the new generation **iff
+  /// a sketch set was ever built** — a daemon that never served a top-k
+  /// query does not pay sketch builds on every refresh, while one that did
+  /// keeps its index warm (and streamed evidence deterministically
+  /// invalidates stale sketches).
   void Prime(std::shared_ptr<const serve::BankGeneration> generation);
 
  private:
@@ -239,9 +222,6 @@ class RrIndex {
   std::mutex build_mutex_;
   std::mutex mutex_;
   std::shared_ptr<const RrSketchSet> current_;
-  /// The rows current_ was inverted from — the diff base of the next
-  /// incremental build.
-  std::shared_ptr<const serve::BankGeneration> indexed_rows_;
   bool ever_built_ = false;
 };
 

@@ -2,10 +2,26 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <utility>
 
 namespace infoflow::serve {
 namespace {
+
+/// Casts an integral JSON number to T, first refusing values past T's
+/// maximum: converting a double outside T's range is undefined (node
+/// 2^32 + 5 would otherwise answer as node 5, and 1e300 as node 0).
+template <typename T>
+Result<T> CastInRange(double number, const char* field) {
+  // 2^digits, the first integer past T's maximum, is exact as a double.
+  if (number >= std::ldexp(1.0, std::numeric_limits<T>::digits)) {
+    return Status::InvalidArgument("'", field, "' must be at most ",
+                                   std::numeric_limits<T>::max(), ", got ",
+                                   JsonValue(number).Dump());
+  }
+  return static_cast<T>(number);
+}
 
 /// Reads a node id from a JSON number (must be a non-negative integer).
 Result<NodeId> ParseNodeId(const JsonValue& value, const char* field) {
@@ -18,7 +34,23 @@ Result<NodeId> ParseNodeId(const JsonValue& value, const char* field) {
                                    "' must be a non-negative integer, got ",
                                    number);
   }
-  return static_cast<NodeId>(number);
+  return CastInRange<NodeId>(number, field);
+}
+
+/// Reads the optional `query_id` field into `query_id`/`provided`.
+Status ParseQueryId(const JsonValue& json, std::uint64_t& query_id,
+                    bool& provided) {
+  const JsonValue* value = json.Find("query_id");
+  if (value == nullptr) return Status::OK();
+  if (!value->is_number() || value->AsNumber() < 0 ||
+      value->AsNumber() != std::floor(value->AsNumber())) {
+    return Status::InvalidArgument("'query_id' must be a non-negative integer");
+  }
+  auto parsed = CastInRange<std::uint64_t>(value->AsNumber(), "query_id");
+  if (!parsed.ok()) return parsed.status();
+  query_id = *parsed;
+  provided = true;
+  return Status::OK();
 }
 
 /// Reads `field` (singular, a number) or `fields` (plural, an array) into a
@@ -128,7 +160,10 @@ Result<AdminRequest> ParseAdminRequest(const JsonValue& json) {
       return Status::InvalidArgument(
           "'trace.events_per_thread' must be a positive integer");
     }
-    request.trace_capacity = static_cast<std::size_t>(capacity->AsNumber());
+    auto parsed = CastInRange<std::size_t>(capacity->AsNumber(),
+                                           "trace.events_per_thread");
+    if (!parsed.ok()) return parsed.status();
+    request.trace_capacity = *parsed;
   }
   return request;
 }
@@ -160,22 +195,17 @@ Result<TopkRequest> ParseTopkRequest(const JsonValue& json) {
     }
     request.id = id->AsString();
   }
-  if (const JsonValue* query_id = json.Find("query_id")) {
-    if (!query_id->is_number() || query_id->AsNumber() < 0 ||
-        query_id->AsNumber() != std::floor(query_id->AsNumber())) {
-      return Status::InvalidArgument(
-          "'query_id' must be a non-negative integer");
-    }
-    request.query_id = static_cast<std::uint64_t>(query_id->AsNumber());
-    request.query_id_provided = true;
-  }
+  IF_RETURN_NOT_OK(
+      ParseQueryId(json, request.query_id, request.query_id_provided));
   const JsonValue* k = json.Find("topk");
   if (k == nullptr || !k->is_number() || k->AsNumber() < 1 ||
       k->AsNumber() != std::floor(k->AsNumber())) {
     return Status::InvalidArgument(
         "'topk' must be a positive integer (the seed-set size)");
   }
-  request.k = static_cast<std::size_t>(k->AsNumber());
+  auto parsed_k = CastInRange<std::size_t>(k->AsNumber(), "topk");
+  if (!parsed_k.ok()) return parsed_k.status();
+  request.k = *parsed_k;
   auto candidates = ParseNodeList(json, "candidate", "candidates");
   if (!candidates.ok()) return candidates.status();
   request.candidates = std::move(*candidates);
@@ -310,15 +340,8 @@ Result<QueryRequest> ParseRequest(const JsonValue& json) {
 
   // An upstream router (the --shard-procs parent) stamps the query id it
   // minted into the forwarded line so replica spans join the same tree.
-  if (const JsonValue* query_id = json.Find("query_id")) {
-    if (!query_id->is_number() || query_id->AsNumber() < 0 ||
-        query_id->AsNumber() != std::floor(query_id->AsNumber())) {
-      return Status::InvalidArgument(
-          "'query_id' must be a non-negative integer");
-    }
-    request.query_id = static_cast<std::uint64_t>(query_id->AsNumber());
-    request.query_id_provided = true;
-  }
+  IF_RETURN_NOT_OK(
+      ParseQueryId(json, request.query_id, request.query_id_provided));
 
   auto sources = ParseNodeList(json, "source", "sources");
   if (!sources.ok()) return sources.status();

@@ -82,8 +82,9 @@ std::string SerializeIngestError(const IngestRequest& request,
 ///
 /// `stats` answers with the metrics snapshot embedded as JSON plus a
 /// Prometheus text exposition; `health` with bank generation / model epoch /
-/// shard liveness / queue depth; `trace` arms, disarms, or exports the span
-/// ring buffers of the running daemon.
+/// ingest queue depth (a `--shard-procs` router adds replica liveness);
+/// `trace` arms, disarms, or exports the span ring buffers of the running
+/// daemon.
 struct AdminRequest {
   enum class Verb { kStats, kHealth, kTraceEnable, kTraceDisable,
                     kTraceExport };
@@ -157,8 +158,8 @@ std::string SerializeTopkError(const TopkRequest& request,
 
 /// \brief Process-wide monotonic query-id mint (first id is 1). The serve
 /// boundary stamps every query that arrives without one, so each request's
-/// spans — parse, plan, shard replay, merge — share an id across threads
-/// and (via `--shard-procs` forwarding) across processes.
+/// spans — parse, plan, replay, assembly — share an id across threads and
+/// (via `--shard-procs` forwarding) across processes.
 std::uint64_t MintQueryId();
 
 /// \brief Parses one request object (already-parsed JSON). Range checks

@@ -1,6 +1,5 @@
 #include "serve/query_engine.h"
 
-#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -11,157 +10,6 @@
 #include "util/timer.h"
 
 namespace infoflow::serve {
-namespace {
-
-/// True when every condition holds in the packed row (scalar path).
-bool RowSatisfies(const DirectedGraph& graph, const std::uint64_t* row,
-                  const FlowConditions& conditions,
-                  ReachabilityWorkspace& workspace,
-                  std::vector<NodeId>& source_scratch) {
-  for (const FlowConstraint& c : conditions) {
-    source_scratch[0] = c.source;
-    const bool flows =
-        workspace.RunUntilPacked(graph, source_scratch, row, c.sink);
-    if (flows != c.must_flow) return false;
-  }
-  return true;
-}
-
-/// The single-graph BlockOps: every block's 64 rows are answered directly
-/// over the bank's plane (batch path) or its packed rows (scalar reference
-/// path), one BFS workspace per pool worker. When the batch resolved a
-/// multi-word lane width, `strip_plane` is the bank's interleaved W-word
-/// plane and the Strip* hooks replay whole strips through the per-worker
-/// StripWorkspaces; at 64 lanes it is null and the per-block hooks run
-/// byte-for-byte as before.
-class SingleGraphOps final : public BlockOps {
- public:
-  SingleGraphOps(const DirectedGraph& graph, const BankGeneration& bank,
-                 bool batch_bfs,
-                 std::vector<ReachabilityWorkspace>& workspaces,
-                 std::vector<BatchReachabilityWorkspace>& batch_workspaces,
-                 const StripPlane* strip_plane,
-                 std::vector<std::unique_ptr<StripWorkspace>>* strip_workspaces)
-      : graph_(graph),
-        bank_(bank),
-        batch_bfs_(batch_bfs),
-        workspaces_(workspaces),
-        batch_workspaces_(batch_workspaces),
-        strip_plane_(strip_plane),
-        strip_workspaces_(strip_workspaces) {}
-
-  std::uint64_t BlockConditions(std::size_t worker, std::size_t block,
-                                const FlowConditions& conditions,
-                                std::uint64_t lanes) override {
-    std::vector<NodeId> src(1);
-    if (batch_bfs_) {
-      // Each constraint's BFS runs only over the still-live lanes, so
-      // every dropped row makes the remaining constraints cheaper
-      // (blockwise I(x, C) of Eq. 7–8).
-      const std::uint64_t* words = bank_.BlockEdgeWords(block);
-      BatchReachabilityWorkspace& ws = batch_workspaces_[worker];
-      for (const FlowConstraint& c : conditions) {
-        if (lanes == 0) break;
-        src[0] = c.source;
-        const std::uint64_t reached =
-            ws.RunUntil(graph_, src, words, c.sink, lanes);
-        lanes = c.must_flow ? reached : lanes & ~reached;
-      }
-      return lanes;
-    }
-    ReachabilityWorkspace& ws = workspaces_[worker];
-    const std::size_t row_end = std::min(bank_.num_rows(), (block + 1) * 64);
-    std::uint64_t word = 0;
-    for (std::size_t r = block * 64; r < row_end; ++r) {
-      if ((lanes >> (r & 63) & 1) == 0) continue;
-      if (RowSatisfies(graph_, bank_.Row(r), conditions, ws, src)) {
-        word |= std::uint64_t{1} << (r & 63);
-      }
-    }
-    return word;
-  }
-
-  void BlockReach(std::size_t worker, std::size_t block,
-                  const std::vector<NodeId>& sources, std::uint64_t lanes,
-                  const std::vector<NodeId>& sinks,
-                  std::uint64_t* out) override {
-    if (batch_bfs_) {
-      BatchReachabilityWorkspace& ws = batch_workspaces_[worker];
-      ws.Run(graph_, sources, bank_.BlockEdgeWords(block), lanes);
-      for (std::size_t s = 0; s < sinks.size(); ++s) {
-        out[s] = ws.ReachedMask(sinks[s]);
-      }
-      return;
-    }
-    ReachabilityWorkspace& ws = workspaces_[worker];
-    std::fill(out, out + sinks.size(), 0);
-    const std::size_t row_end = std::min(bank_.num_rows(), (block + 1) * 64);
-    for (std::size_t r = block * 64; r < row_end; ++r) {
-      if ((lanes >> (r & 63) & 1) == 0) continue;
-      const std::uint64_t bit = std::uint64_t{1} << (r & 63);
-      ws.RunPacked(graph_, sources, bank_.Row(r));
-      for (std::size_t s = 0; s < sinks.size(); ++s) {
-        if (ws.IsReached(sinks[s])) out[s] |= bit;
-      }
-    }
-  }
-
-  unsigned StripWords() const override {
-    return strip_plane_ != nullptr ? strip_plane_->width : 1;
-  }
-
-  void StripConditions(std::size_t worker, std::size_t strip,
-                       const FlowConditions& conditions,
-                       std::uint64_t* lanes) override {
-    if (strip_plane_ == nullptr) {
-      BlockOps::StripConditions(worker, strip, conditions, lanes);
-      return;
-    }
-    const unsigned wn = strip_plane_->width;
-    StripWorkspace& ws = *(*strip_workspaces_)[worker];
-    std::vector<NodeId> src(1);
-    std::uint64_t reached[kMaxStripWords];
-    for (const FlowConstraint& c : conditions) {
-      std::uint64_t live = 0;
-      for (unsigned w = 0; w < wn; ++w) live |= lanes[w];
-      if (live == 0) break;
-      src[0] = c.source;
-      ws.RunUntil(graph_, src, strip_plane_->StripWords(strip), c.sink,
-                  lanes, reached);
-      for (unsigned w = 0; w < wn; ++w) {
-        lanes[w] = c.must_flow ? reached[w] : lanes[w] & ~reached[w];
-      }
-    }
-  }
-
-  void StripReach(std::size_t worker, std::size_t strip,
-                  const std::vector<NodeId>& sources,
-                  const std::uint64_t* lanes, const std::vector<NodeId>& sinks,
-                  std::uint64_t* out) override {
-    if (strip_plane_ == nullptr) {
-      BlockOps::StripReach(worker, strip, sources, lanes, sinks, out);
-      return;
-    }
-    const unsigned wn = strip_plane_->width;
-    StripWorkspace& ws = *(*strip_workspaces_)[worker];
-    ws.Run(graph_, sources, strip_plane_->StripWords(strip), lanes);
-    for (std::size_t s = 0; s < sinks.size(); ++s) {
-      const std::uint64_t* mask = ws.ReachedMask(sinks[s]);
-      for (unsigned w = 0; w < wn; ++w) out[s * wn + w] = mask[w];
-    }
-  }
-
- private:
-  const DirectedGraph& graph_;
-  const BankGeneration& bank_;
-  const bool batch_bfs_;
-  std::vector<ReachabilityWorkspace>& workspaces_;
-  std::vector<BatchReachabilityWorkspace>& batch_workspaces_;
-  const StripPlane* strip_plane_;
-  std::vector<std::unique_ptr<StripWorkspace>>* strip_workspaces_;
-};
-
-}  // namespace
 
 const char* QueryKindName(QueryKind kind) {
   switch (kind) {
@@ -374,9 +222,8 @@ std::vector<QueryResult> QueryEngine::AnswerBatch(
     }
     obs::GetGauge("reach.strip_width").Set(64.0 * strip_words);
   }
-  SingleGraphOps ops(*graph_, bank, options_.use_batch_reachability,
-                     workspaces_, batch_workspaces_, strip_plane.get(),
-                     &strip_workspaces_);
+  BlockOps ops(*graph_, bank, options_.use_batch_reachability, workspaces_,
+               batch_workspaces_, strip_plane.get(), strip_workspaces_);
   QueryPlanOptions plan;
   plan.min_conditional_rows = options_.min_conditional_rows;
   plan.rows_per_task = options_.rows_per_task;

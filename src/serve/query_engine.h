@@ -159,16 +159,6 @@ struct QueryResult {
   /// latency; an analytic answer reports its own). Feeds the slow-query
   /// log and latency histograms.
   double latency_ms = 0.0;
-  /// Cut-frontier exchange rounds of the batch (sharded engines; 0 on the
-  /// single engine). Batch attribution, like latency_ms.
-  std::uint64_t exchange_rounds = 0;
-  /// Cut-frontier words delivered to ghosts during the batch (sharded
-  /// engines; 0 on the single engine). Batch attribution.
-  std::uint64_t cut_frontier_words = 0;
-  /// Per-shard replay wall-clock of the batch, milliseconds (CPU-time
-  /// summed across workers; empty on the single engine). Batch
-  /// attribution; feeds the slow-query log's shard timings.
-  std::vector<double> shard_replay_ms;
   /// Which estimator actually answered (never kAuto): kAnalytic when the
   /// dispatcher took the sampling-free path, kBank for row replay. Stamped
   /// into the serve NDJSON response, trace spans, and the slow-query log.
@@ -214,11 +204,9 @@ struct QueryEngineOptions {
 
 /// \brief Routes queries between the analytic estimator and bank replay.
 ///
-/// Shared by QueryEngine and ShardedQueryEngine so single- and sharded-
-/// process deployments answer identically (bit-for-bit, which
-/// tests/test_shard.cc asserts): the dispatcher partitions a batch into
-/// analytically-answered results and bank-bound requests, the caller runs
-/// its own replay machinery over the latter, and `Merge` re-interleaves.
+/// The dispatcher partitions a batch into analytically-answered results
+/// and bank-bound requests, the caller (QueryEngine::AnswerBatch) replays
+/// the latter over bank rows, and `Merge` re-interleaves.
 class BackendDispatcher {
  public:
   explicit BackendDispatcher(const DirectedGraph& graph,

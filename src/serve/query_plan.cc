@@ -35,8 +35,7 @@ KindLatency MakeKindLatency(const char* kind) {
           &obs::GetGauge(base + ".p99")};
 }
 
-/// The serve.query.* instruments, shared by every engine flavor so a
-/// sharded server's dashboards read the same series as a single one.
+/// The serve.query.* instruments.
 struct PlanMetrics {
   obs::Counter* batches = &obs::GetCounter("serve.query.batches_total");
   obs::Counter* requests = &obs::GetCounter("serve.query.requests_total");
@@ -121,7 +120,134 @@ std::vector<NodeId> SortedUnique(std::vector<NodeId> nodes) {
   return nodes;
 }
 
+/// True when every condition holds in the packed row (scalar path).
+bool RowSatisfies(const DirectedGraph& graph, const std::uint64_t* row,
+                  const FlowConditions& conditions,
+                  ReachabilityWorkspace& workspace,
+                  std::vector<NodeId>& source_scratch) {
+  for (const FlowConstraint& c : conditions) {
+    source_scratch[0] = c.source;
+    const bool flows =
+        workspace.RunUntilPacked(graph, source_scratch, row, c.sink);
+    if (flows != c.must_flow) return false;
+  }
+  return true;
+}
+
 }  // namespace
+
+BlockOps::BlockOps(
+    const DirectedGraph& graph, const BankGeneration& bank, bool batch_bfs,
+    std::vector<ReachabilityWorkspace>& workspaces,
+    std::vector<BatchReachabilityWorkspace>& batch_workspaces,
+    const StripPlane* strip_plane,
+    std::vector<std::unique_ptr<StripWorkspace>>& strip_workspaces)
+    : graph_(graph),
+      bank_(bank),
+      batch_bfs_(batch_bfs),
+      workspaces_(workspaces),
+      batch_workspaces_(batch_workspaces),
+      strip_plane_(strip_plane),
+      strip_workspaces_(strip_workspaces) {}
+
+std::uint64_t BlockOps::BlockConditions(std::size_t worker, std::size_t block,
+                                        const FlowConditions& conditions,
+                                        std::uint64_t lanes) {
+  std::vector<NodeId> src(1);
+  if (batch_bfs_) {
+    // Each constraint's BFS runs only over the still-live lanes, so every
+    // dropped row makes the remaining constraints cheaper (blockwise
+    // I(x, C) of Eq. 7–8).
+    const std::uint64_t* words = bank_.BlockEdgeWords(block);
+    BatchReachabilityWorkspace& ws = batch_workspaces_[worker];
+    for (const FlowConstraint& c : conditions) {
+      if (lanes == 0) break;
+      src[0] = c.source;
+      const std::uint64_t reached =
+          ws.RunUntil(graph_, src, words, c.sink, lanes);
+      lanes = c.must_flow ? reached : lanes & ~reached;
+    }
+    return lanes;
+  }
+  ReachabilityWorkspace& ws = workspaces_[worker];
+  const std::size_t row_end = std::min(bank_.num_rows(), (block + 1) * 64);
+  std::uint64_t word = 0;
+  for (std::size_t r = block * 64; r < row_end; ++r) {
+    if ((lanes >> (r & 63) & 1) == 0) continue;
+    if (RowSatisfies(graph_, bank_.Row(r), conditions, ws, src)) {
+      word |= std::uint64_t{1} << (r & 63);
+    }
+  }
+  return word;
+}
+
+void BlockOps::BlockReach(std::size_t worker, std::size_t block,
+                          const std::vector<NodeId>& sources,
+                          std::uint64_t lanes,
+                          const std::vector<NodeId>& sinks,
+                          std::uint64_t* out) {
+  if (batch_bfs_) {
+    BatchReachabilityWorkspace& ws = batch_workspaces_[worker];
+    ws.Run(graph_, sources, bank_.BlockEdgeWords(block), lanes);
+    for (std::size_t s = 0; s < sinks.size(); ++s) {
+      out[s] = ws.ReachedMask(sinks[s]);
+    }
+    return;
+  }
+  ReachabilityWorkspace& ws = workspaces_[worker];
+  std::fill(out, out + sinks.size(), 0);
+  const std::size_t row_end = std::min(bank_.num_rows(), (block + 1) * 64);
+  for (std::size_t r = block * 64; r < row_end; ++r) {
+    if ((lanes >> (r & 63) & 1) == 0) continue;
+    const std::uint64_t bit = std::uint64_t{1} << (r & 63);
+    ws.RunPacked(graph_, sources, bank_.Row(r));
+    for (std::size_t s = 0; s < sinks.size(); ++s) {
+      if (ws.IsReached(sinks[s])) out[s] |= bit;
+    }
+  }
+}
+
+void BlockOps::StripConditions(std::size_t worker, std::size_t strip,
+                               const FlowConditions& conditions,
+                               std::uint64_t* lanes) {
+  if (strip_plane_ == nullptr) {
+    lanes[0] = BlockConditions(worker, strip, conditions, lanes[0]);
+    return;
+  }
+  const unsigned wn = strip_plane_->width;
+  StripWorkspace& ws = *strip_workspaces_[worker];
+  std::vector<NodeId> src(1);
+  std::uint64_t reached[kMaxStripWords];
+  for (const FlowConstraint& c : conditions) {
+    std::uint64_t live = 0;
+    for (unsigned w = 0; w < wn; ++w) live |= lanes[w];
+    if (live == 0) break;
+    src[0] = c.source;
+    ws.RunUntil(graph_, src, strip_plane_->StripWords(strip), c.sink, lanes,
+                reached);
+    for (unsigned w = 0; w < wn; ++w) {
+      lanes[w] = c.must_flow ? reached[w] : lanes[w] & ~reached[w];
+    }
+  }
+}
+
+void BlockOps::StripReach(std::size_t worker, std::size_t strip,
+                          const std::vector<NodeId>& sources,
+                          const std::uint64_t* lanes,
+                          const std::vector<NodeId>& sinks,
+                          std::uint64_t* out) {
+  if (strip_plane_ == nullptr) {
+    BlockReach(worker, strip, sources, lanes[0], sinks, out);
+    return;
+  }
+  const unsigned wn = strip_plane_->width;
+  StripWorkspace& ws = *strip_workspaces_[worker];
+  ws.Run(graph_, sources, strip_plane_->StripWords(strip), lanes);
+  for (std::size_t s = 0; s < sinks.size(); ++s) {
+    const std::uint64_t* mask = ws.ReachedMask(sinks[s]);
+    for (unsigned w = 0; w < wn; ++w) out[s * wn + w] = mask[w];
+  }
+}
 
 void KindLatencyRecorder::Record(QueryKind kind, double latency_ms) {
   if constexpr (obs::MetricsEnabled()) {
@@ -268,11 +394,11 @@ std::vector<QueryResult> RunQueryPlan(
     given_of[i] = g;
   }
 
-  // Workers partition whole strips of W consecutive blocks (W = 1 for the
-  // per-block engines), so mask/indicator words are never shared between
-  // tasks — the scalar path writes single bits into the same words the
-  // batch path fills 64·W at a time.
-  const unsigned strip_words = std::max(1u, ops.StripWords());
+  // Workers partition whole strips of W consecutive blocks, so
+  // mask/indicator words are never shared between tasks — the scalar path
+  // writes single bits into the same words the batch path fills 64·W at a
+  // time.
+  const unsigned strip_words = ops.StripWords();
   IF_CHECK_LE(strip_words, kMaxStripWords);
   const std::size_t num_strips = (num_blocks + strip_words - 1) / strip_words;
   const std::size_t num_tasks = pool.size();
@@ -287,7 +413,6 @@ std::vector<QueryResult> RunQueryPlan(
 
   for (GivenSet& set : given_sets) {
     obs::TraceSpan mask_span("serve/plan/given_mask", batch_query_id);
-    ops.BeginGroup(batch_query_id);
     std::atomic<bool> expired{false};
     std::vector<std::size_t> partial(num_tasks, 0);
     ParallelFor(pool, num_tasks, [&](std::size_t t) {
@@ -386,7 +511,6 @@ std::vector<QueryResult> RunQueryPlan(
         group.members.empty() ? batch_query_id
                               : requests[group.members.front()].query_id;
     obs::TraceSpan group_span("serve/plan/scan_group", group_query_id);
-    ops.BeginGroup(group_query_id);
     metrics.group_size->Record(static_cast<double>(group.members.size()));
     if (group.members.size() > 1) {
       metrics.frontier_merged->Increment(group.members.size() - 1);
@@ -501,16 +625,10 @@ std::vector<QueryResult> RunQueryPlan(
     }
   }
 
-  // --- Stamp batch-level cost onto every result and refresh the per-kind
+  // --- Stamp the batch latency onto every result and refresh the per-kind
   // latency quantile gauges.
-  const BlockOps::BatchStats batch_stats = ops.CollectBatchStats();
   const double batch_ms = timer.Millis();
-  for (QueryResult& result : results) {
-    result.latency_ms = batch_ms;
-    result.exchange_rounds = batch_stats.exchange_rounds;
-    result.cut_frontier_words = batch_stats.cut_frontier_words;
-    result.shard_replay_ms = batch_stats.shard_replay_ms;
-  }
+  for (QueryResult& result : results) result.latency_ms = batch_ms;
   metrics.latency_ms->Record(batch_ms);
   // One sample per kind the batch answered (batch attribution).
   KindLatencyRecorder kinds;

@@ -1,27 +1,26 @@
 /// \file query_plan.h
-/// \brief The engine-agnostic batch query skeleton shared by the single
-/// (QueryEngine) and sharded (ShardedQueryEngine) serve paths.
+/// \brief The batch query skeleton behind QueryEngine::AnswerBatch.
 ///
-/// Everything about answering a batch *except* per-block reachability is
+/// Everything about answering a batch *except* per-strip reachability is
 /// pure bookkeeping over the bank's row/lane layout: request validation,
 /// deduplicating conditioning sets into shared row masks (Eq. 7–8),
 /// enforcing the conditional floor, merging same-source frontiers into one
 /// scan, per-query deadlines, and assembling estimates + split-R̂/ESS/MCSE
 /// diagnostics from the indicator bitmaps. RunQueryPlan owns that skeleton;
-/// the caller plugs in a BlockOps that answers two questions about a single
-/// 64-row block. Because the sharded engine reuses the exact assembly code
-/// and only swaps the block ops — and its cross-shard fixpoint computes the
-/// same reached masks as a whole-graph BFS — shard-merged answers are
-/// bit-identical to the single-engine path, which tests/test_shard.cc
-/// checks differentially.
+/// BlockOps answers its two questions about one strip of bank rows.
 
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "core/flow_query.h"
+#include "graph/batch_reachability.h"
 #include "graph/graph.h"
+#include "graph/reachability.h"
+#include "graph/strip_plane.h"
+#include "graph/strip_reachability.h"
 #include "serve/query_engine.h"
 #include "serve/sample_bank.h"
 #include "util/status.h"
@@ -29,80 +28,73 @@
 
 namespace infoflow::serve {
 
-/// \brief Per-block query primitives supplied by an engine. Methods are
-/// called concurrently from pool workers; `worker` < pool.size() indexes
-/// the caller's per-worker scratch (workspaces). Blocks are partitioned
-/// between workers, so no block is touched by two workers at once.
+/// \brief Per-strip reachability over one bank generation.
+///
+/// A strip is W consecutive 64-row blocks. With a strip plane (W = 4 or 8,
+/// graph/strip_plane.h) every pass replays the generation's interleaved
+/// W-word plane through one StripWorkspace per pool worker, so one BFS
+/// amortizes over 64·W rows. Without one, W = 1: a pass reads the bank's
+/// edge-major block through one BatchReachabilityWorkspace per worker, or,
+/// when `batch_bfs` is false, replays each packed row through the scalar
+/// ReachabilityWorkspace reference (the `--scalar-reachability` path).
+/// Every path yields the same lane masks bit for bit.
+///
+/// Methods are called concurrently from pool workers; `worker` <
+/// pool.size() indexes the per-worker workspaces. Strips are partitioned
+/// between workers, so no strip is touched by two workers at once.
 class BlockOps {
  public:
-  virtual ~BlockOps() = default;
+  /// The workspace vectors hold one entry per pool worker; strip
+  /// workspaces must already be created at `strip_plane->width` when a
+  /// strip plane is given.
+  BlockOps(const DirectedGraph& graph, const BankGeneration& bank,
+           bool batch_bfs, std::vector<ReachabilityWorkspace>& workspaces,
+           std::vector<BatchReachabilityWorkspace>& batch_workspaces,
+           const StripPlane* strip_plane,
+           std::vector<std::unique_ptr<StripWorkspace>>& strip_workspaces);
 
-  /// \brief What one batch cost beyond row scans — the sharded engine
-  /// reports its cut-frontier exchange work here; the single engine has
-  /// none. Stamped onto every result of the batch (batch attribution).
-  struct BatchStats {
-    std::uint64_t exchange_rounds = 0;
-    std::uint64_t cut_frontier_words = 0;
-    /// Per-shard replay wall-clock summed over workers, milliseconds;
-    /// empty on the single engine.
-    std::vector<double> shard_replay_ms;
-  };
+  /// 64-row blocks answered per pass: the strip plane's width, else 1.
+  unsigned StripWords() const {
+    return strip_plane_ != nullptr ? strip_plane_->width : 1;
+  }
 
-  /// Called once before each scan group's parallel row scan, with the
-  /// query id attributed to that scan (0 when unstamped). Engines use it
-  /// to tag per-shard replay spans; the default ignores it.
-  virtual void BeginGroup(std::uint64_t query_id) { (void)query_id; }
-
-  /// Called once after all scans of a batch; returns (and resets) the
-  /// batch's accumulated stats. The default reports nothing.
-  virtual BatchStats CollectBatchStats() { return {}; }
-
-  /// Lanes of `block` (restricted to `lanes`) whose rows satisfy every
-  /// condition: the blockwise conditional indicator I(x, C) of Eq. 7–8.
-  virtual std::uint64_t BlockConditions(std::size_t worker, std::size_t block,
-                                        const FlowConditions& conditions,
-                                        std::uint64_t lanes) = 0;
+  /// Rows of `strip` whose pseudo-states satisfy every condition: the
+  /// blockwise conditional indicator I(x, C) of Eq. 7–8. `lanes` is an
+  /// in/out span of StripWords() words covering blocks [strip·W,
+  /// strip·W+W) in block order (words past the bank's last block are
+  /// zero); on entry each word holds its block's candidate lanes, on
+  /// return the surviving ones.
+  void StripConditions(std::size_t worker, std::size_t strip,
+                       const FlowConditions& conditions, std::uint64_t* lanes);
 
   /// Reachability from the (sorted-unique) `sources` in each lane of
-  /// `block` restricted to `lanes`: sets out[s] to the mask of lanes in
-  /// which sinks[s] is reached. `sinks` is sorted-unique.
-  virtual void BlockReach(std::size_t worker, std::size_t block,
-                          const std::vector<NodeId>& sources,
-                          std::uint64_t lanes,
-                          const std::vector<NodeId>& sinks,
-                          std::uint64_t* out) = 0;
+  /// `strip` restricted to `lanes`: writes out[s·W + w] = the lanes of
+  /// block strip·W+w in which sinks[s] is reached. `sinks` is
+  /// sorted-unique.
+  void StripReach(std::size_t worker, std::size_t strip,
+                  const std::vector<NodeId>& sources,
+                  const std::uint64_t* lanes, const std::vector<NodeId>& sinks,
+                  std::uint64_t* out);
 
-  /// \brief 64-row blocks answered per reachability pass. Engines replaying
-  /// multi-word strips (graph/strip_reachability.h) return the strip width
-  /// W; the plan then iterates strips of W consecutive blocks and calls the
-  /// Strip* hooks below, so one BFS amortizes over 64·W rows. The default
-  /// (1) keeps the per-block iteration byte-for-byte.
-  virtual unsigned StripWords() const { return 1; }
+ private:
+  /// The W = 1 passes over one 64-row block.
+  std::uint64_t BlockConditions(std::size_t worker, std::size_t block,
+                                const FlowConditions& conditions,
+                                std::uint64_t lanes);
+  void BlockReach(std::size_t worker, std::size_t block,
+                  const std::vector<NodeId>& sources, std::uint64_t lanes,
+                  const std::vector<NodeId>& sinks, std::uint64_t* out);
 
-  /// Strip variant of BlockConditions. `lanes` is an in/out span of
-  /// StripWords() words covering blocks [strip·W, strip·W+W) in block
-  /// order (words past the bank's last block are zero); on return each
-  /// word holds its block's surviving lanes. The default forwards the
-  /// single block of a width-1 strip.
-  virtual void StripConditions(std::size_t worker, std::size_t strip,
-                               const FlowConditions& conditions,
-                               std::uint64_t* lanes) {
-    lanes[0] = BlockConditions(worker, strip, conditions, lanes[0]);
-  }
-
-  /// Strip variant of BlockReach: writes out[s·W + w] = the lanes of block
-  /// strip·W+w in which sinks[s] is reached.
-  virtual void StripReach(std::size_t worker, std::size_t strip,
-                          const std::vector<NodeId>& sources,
-                          const std::uint64_t* lanes,
-                          const std::vector<NodeId>& sinks,
-                          std::uint64_t* out) {
-    BlockReach(worker, strip, sources, lanes[0], sinks, out);
-  }
+  const DirectedGraph& graph_;
+  const BankGeneration& bank_;
+  const bool batch_bfs_;
+  std::vector<ReachabilityWorkspace>& workspaces_;
+  std::vector<BatchReachabilityWorkspace>& batch_workspaces_;
+  const StripPlane* strip_plane_;
+  std::vector<std::unique_ptr<StripWorkspace>>& strip_workspaces_;
 };
 
-/// \brief The skeleton knobs, mirrored from QueryEngineOptions so both
-/// engines enforce identical floors and deadline-check cadence.
+/// \brief The skeleton knobs, mirrored from QueryEngineOptions.
 struct QueryPlanOptions {
   std::size_t min_conditional_rows = 32;
   std::size_t rows_per_task = 256;
@@ -122,15 +114,15 @@ class KindLatencyRecorder {
   bool recorded_[3] = {false, false, false};
 };
 
-/// \brief Validates a request against `graph` exactly as QueryEngine does:
-/// out-of-range endpoints and malformed shapes come back as descriptive
-/// Statuses before any BFS workspace can see them.
+/// \brief Validates a request against `graph`: out-of-range endpoints and
+/// malformed shapes come back as descriptive Statuses before any BFS
+/// workspace can see them.
 Status ValidateQueryRequest(const DirectedGraph& graph,
                             const QueryRequest& request);
 
-/// \brief Answers `requests` over `bank` using `ops` for per-block work.
-/// See query_engine.h for the request/result contract; this function *is*
-/// QueryEngine::AnswerBatch with the reachability calls abstracted out.
+/// \brief Answers `requests` over `bank` using `ops` for per-strip work.
+/// See query_engine.h for the request/result contract; QueryEngine's
+/// AnswerBatch runs it over the requests its dispatcher sends to the bank.
 std::vector<QueryResult> RunQueryPlan(const DirectedGraph& graph,
                                       const BankGeneration& bank,
                                       const std::vector<QueryRequest>& requests,

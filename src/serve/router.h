@@ -1,86 +1,25 @@
 /// \file router.h
-/// \brief The serve tier's routing layer: split query work across shards
-/// and merge the answers.
+/// \brief The `--shard-procs` router: NDJSON fan-out over full-replica
+/// child processes.
 ///
-/// Two routers live here. **ShardedQueryEngine** is the in-process one: it
-/// runs the shared batch skeleton (serve/query_plan.h) with per-block ops
-/// that propagate reached masks inside every shard's local graph and hand
-/// new lanes across shard boundaries at cut edges — each owned node that
-/// gains lanes delivers its mask to its ghost copies (partition.h's
-/// ghost-target CSR), and the per-shard BFS continues from exactly that
-/// delta (BatchReachabilityWorkspace's incremental Seed/Propagate) until no
-/// shard has pending work. At the fixpoint every node's owner mask equals
-/// the whole-graph BFS mask, so estimates, effective_rows and chain
-/// diagnostics are **bit-identical** to the single engine — with N=1 the
-/// loop degenerates to one Propagate and no exchange.
-///
-/// **ProcessRouter** is the shared-nothing variant: each shard is a child
-/// process running a full replica (same seed → same bank rows → identical
-/// answers) behind the unchanged NDJSON protocol; the router round-robins
-/// request lines across children, reassembles responses in input order,
-/// and turns a dead or stalled child into descriptive per-query error
-/// lines instead of a hang.
+/// Each child process runs a full replica (same seed → same bank rows →
+/// identical answers) behind the unchanged NDJSON protocol; the router
+/// round-robins request lines across children, reassembles responses in
+/// input order, and turns a dead or stalled child into descriptive
+/// per-query error lines instead of a hang. What it buys is fault
+/// isolation and a cross-process trace tree, not answers a single daemon
+/// could not give: replicas answer byte-identically to one another.
 
 #pragma once
 
 #include <csignal>
-#include <cstdint>
-#include <memory>
+#include <cstddef>
 #include <string>
 #include <vector>
 
-#include "graph/batch_reachability.h"
-#include "graph/graph.h"
-#include "graph/strip_reachability.h"
-#include "serve/query_engine.h"
-#include "serve/sample_bank.h"
-#include "serve/shard_engine.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 namespace infoflow::serve {
-
-/// \brief Answers query batches by per-shard bit-parallel replay with
-/// cut-edge frontier exchange. Drop-in for QueryEngine::AnswerBatch.
-///
-/// Thread-safety: like QueryEngine, one thread drives an instance at a
-/// time (per-worker scratch); the ShardSet is shared and thread-safe.
-class ShardedQueryEngine {
- public:
-  /// `graph` is the parent graph the partition was cut from. The engine
-  /// always uses batch (bit-parallel) reachability;
-  /// `options.use_batch_reachability` is ignored.
-  static Result<ShardedQueryEngine> Create(
-      std::shared_ptr<const DirectedGraph> graph,
-      std::shared_ptr<ShardSet> shards, QueryEngineOptions options);
-
-  /// See QueryEngine::AnswerBatch — same contract, same results bit for
-  /// bit (the differential suite in tests/test_shard.cc holds us to it).
-  std::vector<QueryResult> AnswerBatch(
-      const BankGeneration& bank, const std::vector<QueryRequest>& requests);
-
-  std::uint32_t num_shards() const { return shards_->num_shards(); }
-  std::size_t num_threads() const { return pool_->size(); }
-  const ShardSet& shard_set() const { return *shards_; }
-
- private:
-  ShardedQueryEngine(std::shared_ptr<const DirectedGraph> graph,
-                     std::shared_ptr<ShardSet> shards,
-                     QueryEngineOptions options);
-
-  std::shared_ptr<const DirectedGraph> graph_;
-  std::shared_ptr<ShardSet> shards_;
-  QueryEngineOptions options_;
-  std::unique_ptr<ThreadPool> pool_;
-  /// scratch_[worker][shard]: one bit-parallel workspace per shard per pool
-  /// worker (workers partition blocks, shards exchange within a block).
-  std::vector<std::vector<BatchReachabilityWorkspace>> scratch_;
-  /// strip_scratch_[worker][shard]: multi-word strip workspaces for batches
-  /// that resolve 256/512 lanes — the cut-edge exchange then hands W-word
-  /// lane spans across shard boundaries. Lazily created at the resolved
-  /// width, recreated only when a later batch resolves a different width.
-  std::vector<std::vector<std::unique_ptr<StripWorkspace>>> strip_scratch_;
-};
 
 /// \brief Round-robin NDJSON fan-out over shard child processes.
 ///

@@ -5,7 +5,6 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <optional>
 #include <condition_variable>
 #include <cstring>
 #include <fstream>
@@ -20,9 +19,7 @@
 #include <unistd.h>
 
 #include "obs/trace.h"
-#include "serve/partition.h"
 #include "serve/protocol.h"
-#include "serve/router.h"
 #include "serve/transport.h"
 #include "util/check.h"
 #include "util/json.h"
@@ -74,9 +71,6 @@ Status ServerOptions::Validate() const {
   if (!socket_path.empty() && socket_path.size() >= sizeof(sockaddr_un{}.sun_path)) {
     return Status::InvalidArgument("socket path too long: ", socket_path);
   }
-  if (num_shards == 0) {
-    return Status::InvalidArgument("num_shards must be positive");
-  }
   if (stats_interval_ms < 0.0) {
     return Status::InvalidArgument("stats_interval_ms must be >= 0");
   }
@@ -98,18 +92,6 @@ Result<Server> Server::Create(SampleBank bank, ServerOptions options) {
   IF_RETURN_NOT_OK(options.Validate());
   IF_RETURN_NOT_OK(options.engine.Validate());
   Server server(std::move(bank), std::move(options));
-  if (server.options_.num_shards > 1) {
-    auto partition = PartitionGraph(
-        *server.bank_.graph_ptr(),
-        static_cast<std::uint32_t>(server.options_.num_shards),
-        server.options_.partition_seed);
-    IF_RETURN_NOT_OK(partition.status());
-    server.shard_set_ = std::make_shared<ShardSet>(
-        std::make_shared<const GraphPartition>(std::move(*partition)));
-    // Warm every shard's view of the boot generation, mirroring the
-    // refresh/rebuild fan-out — the first batch should not pay K gathers.
-    server.shard_set_->Prime(*server.bank_.Acquire());
-  }
   // The reversed view is cheap (one transpose); sketch sets are built
   // lazily on the first {"topk":...} request and re-primed on publishes.
   server.rr_index_ =
@@ -145,23 +127,8 @@ Server::~Server() {
 }
 
 Status Server::ServeFd(int in_fd, int out_fd) {
-  // N=1 degeneracy: without a shard set this is exactly the pre-sharding
-  // single-engine path — the router layer is never even constructed.
-  std::optional<Result<QueryEngine>> single;
-  std::optional<Result<ShardedQueryEngine>> sharded;
-  if (shard_set_ == nullptr) {
-    single.emplace(QueryEngine::Create(bank_.graph_ptr(), options_.engine));
-    if (!single->ok()) return single->status();
-  } else {
-    sharded.emplace(ShardedQueryEngine::Create(bank_.graph_ptr(), shard_set_,
-                                               options_.engine));
-    if (!sharded->ok()) return sharded->status();
-  }
-  const auto answer = [&](const BankGeneration& generation,
-                          const std::vector<QueryRequest>& requests) {
-    return single.has_value() ? (*single)->AnswerBatch(generation, requests)
-                              : (*sharded)->AnswerBatch(generation, requests);
-  };
+  auto engine = QueryEngine::Create(bank_.graph_ptr(), options_.engine);
+  if (!engine.ok()) return engine.status();
   LineReader reader(in_fd, options_.interrupt);
   std::string line;
   std::vector<std::string> lines;
@@ -250,7 +217,8 @@ Status Server::ServeFd(int in_fd, int out_fd) {
 
     if (!requests.empty()) {
       const std::shared_ptr<const BankGeneration> generation = bank_.Acquire();
-      const std::vector<QueryResult> results = answer(*generation, requests);
+      const std::vector<QueryResult> results =
+          engine->AnswerBatch(*generation, requests);
       for (std::size_t k = 0; k < requests.size(); ++k) {
         responses[request_line[k]] = SerializeResult(requests[k], results[k]);
       }
@@ -354,13 +322,12 @@ std::string Server::HandleAdmin(const AdminRequest& request) {
     }
     case AdminRequest::Verb::kHealth: {
       JsonValue::Object health;
-      health["role"] = shard_set_ == nullptr ? "server" : "sharded-server";
+      health["role"] = "server";
       const std::shared_ptr<const BankGeneration> generation = bank_.Acquire();
       health["generation"] = static_cast<double>(generation->id());
       health["generation_age_s"] = bank_.GenerationAgeSeconds();
       health["model_epoch"] = static_cast<double>(generation->model_epoch());
       health["rows"] = static_cast<double>(generation->num_rows());
-      health["num_shards"] = static_cast<double>(options_.num_shards);
       JsonValue::Object ingest;
       ingest["enabled"] = ingestor_ != nullptr;
       if (ingestor_ != nullptr) {
@@ -425,12 +392,6 @@ void Server::LogSlowQueries(const std::vector<QueryRequest>& requests,
     record["model_epoch"] = static_cast<double>(result.model_epoch);
     record["total_rows"] = static_cast<double>(result.total_rows);
     record["effective_rows"] = static_cast<double>(result.effective_rows);
-    record["exchange_rounds"] = static_cast<double>(result.exchange_rounds);
-    record["cut_frontier_words"] =
-        static_cast<double>(result.cut_frontier_words);
-    JsonValue::Array shard_ms;
-    for (const double ms : result.shard_replay_ms) shard_ms.push_back(ms);
-    record["shard_replay_ms"] = std::move(shard_ms);
     double rhat_max = 0.0;
     for (const SinkEstimate& est : result.estimates) {
       rhat_max = std::max(rhat_max, est.diagnostics.rhat);
@@ -517,13 +478,10 @@ void Server::RebuildLoop() {
       bg.pending_epoch = nullptr;
     }
     if (bank_.Rebuild(epoch->model, epoch->id).ok()) {
-      // Fan the new generation out to every shard view before queries can
-      // hit it — one publish, K consistent gathers, no torn generation.
-      // The sketch index re-primes the same way, so streamed evidence
-      // deterministically invalidates stale reverse-reachable sketches.
-      const std::shared_ptr<const BankGeneration> generation = bank_.Acquire();
-      if (shard_set_ != nullptr) shard_set_->Prime(*generation);
-      rr_index_->Prime(generation);
+      // Re-prime the sketch index on the new generation, so streamed
+      // evidence deterministically invalidates stale reverse-reachable
+      // sketches.
+      rr_index_->Prime(bank_.Acquire());
     }
   }
 }
@@ -600,11 +558,7 @@ void Server::RefreshLoop() {
       continue;
     }
     bank_.Refresh();
-    {
-      const std::shared_ptr<const BankGeneration> generation = bank_.Acquire();
-      if (shard_set_ != nullptr) shard_set_->Prime(*generation);
-      rr_index_->Prime(generation);
-    }
+    rr_index_->Prime(bank_.Acquire());
     next = std::chrono::steady_clock::now() + interval;
   }
 }
@@ -618,12 +572,13 @@ void Server::Stop() {
   // connection can absorb an {"ingest":...} line until it is joined).
   if (ingestor_ != nullptr) ingestor_->StopFeed();
   if (bg.listen_fd >= 0) {
-    // shutdown() unblocks accept(); close() invalidates the fd.
+    // shutdown() unblocks accept(); the fd is closed and reset only once
+    // the accept thread, its only other reader, has been joined.
     shutdown(bg.listen_fd, SHUT_RDWR);
+    if (bg.accept_thread.joinable()) bg.accept_thread.join();
     close(bg.listen_fd);
     bg.listen_fd = -1;
   }
-  if (bg.accept_thread.joinable()) bg.accept_thread.join();
   if (bg.refresh_thread.joinable()) bg.refresh_thread.join();
   if (bg.stats_thread.joinable()) bg.stats_thread.join();
   // Final snapshot so the artifact reflects every line served, even on a

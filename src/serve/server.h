@@ -27,7 +27,6 @@
 #include "seedmax/rr_index.h"
 #include "serve/query_engine.h"
 #include "serve/sample_bank.h"
-#include "serve/shard_engine.h"
 #include "stream/ingestor.h"
 #include "util/status.h"
 
@@ -49,13 +48,6 @@ struct ServerOptions {
   /// drift exceeds this triggers a background SampleBank::Rebuild onto the
   /// new model. 0 (the default) rebuilds on any nonzero drift.
   double drift_threshold = 0.0;
-  /// Shards to partition the graph into (serve/partition.h). 1 (the
-  /// default) degenerates to the single-engine path — no partitioner, no
-  /// router, byte-identical behavior to a pre-sharding server. Answers are
-  /// bit-identical for every N (tests/test_shard.cc).
-  std::size_t num_shards = 1;
-  /// Partitioner seed (deterministic communities under a fixed seed).
-  std::uint64_t partition_seed = 7;
   /// Per-connection query-engine tuning.
   QueryEngineOptions engine;
   /// Period of the background metrics-snapshot writer (the CLI's
@@ -129,11 +121,6 @@ class Server {
   /// The shared bank (e.g. for warm-up checks in tests).
   SampleBank& bank() { return bank_; }
 
-  /// The shared shard set (null when num_shards == 1). Generation
-  /// publishes (refresh / drift rebuild) fan out to every shard's view
-  /// through it before the next batch is answered.
-  const std::shared_ptr<ShardSet>& shard_set() const { return shard_set_; }
-
   const ServerOptions& options() const { return options_; }
 
   /// The reverse-reachable sketch index behind the {"topk":...} verb.
@@ -174,9 +161,6 @@ class Server {
 
   SampleBank bank_;
   ServerOptions options_;
-  /// Partition + per-shard view caches, shared by every connection's
-  /// router; null in single-engine mode.
-  std::shared_ptr<ShardSet> shard_set_;
   /// Sketch cache for top-k seed selection; shared with connections.
   std::shared_ptr<seedmax::RrIndex> rr_index_;
   std::shared_ptr<stream::StreamIngestor> ingestor_;

@@ -1,14 +1,12 @@
 /// \file transport.h
 /// \brief Byte-level NDJSON transport primitives shared by the serve tier.
 ///
-/// The serve stack is split into three layers: **transport** (this file —
-/// buffered line framing over POSIX fds, nothing protocol- or
-/// query-aware), **router** (serve/router.h — splitting batches across
-/// shard engines or shard processes and merging answers), and
-/// **shard-engine** (serve/shard_engine.h + serve/query_engine.h — the
-/// per-shard replay of Eq. 5 over bank rows). Server (serve/server.h) wires
-/// the three together; the multi-process router reuses the same reader to
-/// speak the unchanged NDJSON wire protocol to shard children.
+/// This file is the serve stack's bottom layer: buffered line framing over
+/// POSIX fds, nothing protocol- or query-aware. Server (serve/server.h)
+/// reads request lines with it and answers them through one QueryEngine
+/// (serve/query_engine.h, the replay of Eq. 5 over bank rows); the
+/// `--shard-procs` router (serve/router.h) reuses the same reader to speak
+/// the unchanged NDJSON wire protocol to its replica processes.
 
 #pragma once
 

@@ -203,10 +203,9 @@ TEST(BatchReachability, IncrementalMatchesOneShotRun) {
 }
 
 TEST(BatchReachability, InterleavedSeedsReachTheJointFixpoint) {
-  // Seeding in several rounds with a Propagate between each — the sharded
-  // router's cut-edge exchange pattern — must land on the same fixpoint as
-  // one Run with all seeds, including when later seeds only add lanes a
-  // node already partially holds.
+  // Seeding in several rounds with a Propagate between each must land on
+  // the same fixpoint as one Run with all seeds, including when later
+  // seeds only add lanes a node already partially holds.
   Rng rng(37);
   for (int trial = 0; trial < 8; ++trial) {
     const DirectedGraph g = UniformRandomGraph(30, 90, rng);

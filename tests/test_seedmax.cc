@@ -619,37 +619,9 @@ TEST(RrSketchSet, ParallelBuildIsBitIdenticalToSerial) {
   ExpectSketchSetsIdentical(*cond_serial, *cond_parallel);
 }
 
-TEST(RrSketchSet, ReusedBlocksReconstructTheExactPostings) {
-  // Same generation as both diff base and build input: every block's edge
-  // plane matches, so the entire set must come out of the counting-sort
-  // lift — and be bit-identical to the scratch build it replaces.
-  const PointIcm model = SmallRandomModel(63, 12, 30);
-  serve::SampleBank bank = MakeBank(model, 256, /*seed=*/64);
-  const auto generation = bank.Acquire();
-  const ReversedGraphView view = ReversedGraphView::Build(bank.graph_ptr());
-
-  auto scratch = RrSketchSet::Build(view, *generation);
-  ASSERT_TRUE(scratch.ok()) << scratch.status();
-
-  const obs::Counter& reused =
-      obs::GetCounter("seedmax.sketch.blocks_reused_total");
-  const std::uint64_t reused_before = reused.Value();
-  RrBuildOptions incremental;
-  incremental.previous = &*scratch;
-  incremental.previous_rows = generation.get();
-  auto lifted = RrSketchSet::Build(view, *generation, incremental);
-  ASSERT_TRUE(lifted.ok()) << lifted.status();
-  ExpectSketchSetsIdentical(*scratch, *lifted);
-  if constexpr (obs::MetricsEnabled()) {
-    const std::size_t num_blocks = (generation->num_rows() + 63) / 64;
-    EXPECT_EQ(reused.Value(), reused_before + num_blocks);
-  }
-}
-
 TEST(RrIndex, AcquireAfterRefreshIsBitIdenticalToScratchBuild) {
-  // The end-to-end incremental path: the index diffs the new generation
-  // against the one it last inverted and lifts unchanged blocks. Whatever
-  // fraction is reused, the published set must equal a scratch build.
+  // The index's refresh path: after inverting one generation, acquiring
+  // the refreshed one must publish a set equal to a scratch build.
   const PointIcm model = SmallRandomModel(65, 12, 30);
   serve::SampleBank bank = MakeBank(model, 256, /*seed=*/66);
   RrIndex index(bank.graph_ptr(), /*num_threads=*/2);
@@ -657,12 +629,12 @@ TEST(RrIndex, AcquireAfterRefreshIsBitIdenticalToScratchBuild) {
 
   bank.Refresh();
   const auto generation = bank.Acquire();
-  auto incremental = index.Acquire(generation);
-  ASSERT_TRUE(incremental.ok()) << incremental.status();
+  auto refreshed = index.Acquire(generation);
+  ASSERT_TRUE(refreshed.ok()) << refreshed.status();
   const ReversedGraphView view = ReversedGraphView::Build(bank.graph_ptr());
   auto scratch = RrSketchSet::Build(view, *generation);
   ASSERT_TRUE(scratch.ok()) << scratch.status();
-  ExpectSketchSetsIdentical(*scratch, **incremental);
+  ExpectSketchSetsIdentical(*scratch, **refreshed);
 }
 
 }  // namespace

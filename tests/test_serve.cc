@@ -7,6 +7,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -384,19 +385,18 @@ TEST(QueryEngine, BatchAndScalarReachabilityAgreeBitForBit) {
 
 TEST(QueryEngine, LaneWidthsAgreeBitForBitIncludingConditionals) {
   // Widening the replay past 64 lanes must be invisible in the answers:
-  // engines pinned to 64, 256, and 512 lanes (and auto, which picks 512
-  // here) return the scalar engine's doubles exactly, across every query
-  // kind. 150 per chain × 4 chains = 600 rows: ≥512 so auto steps up to
-  // 8-word strips, 600 mod 64 = 24 so the tail block is ragged, and the
-  // second strip carries dead blocks past the bank (10 blocks over strips
-  // of 8).
+  // engines pinned to 64, 256, and 512 lanes (and auto) return the scalar
+  // engine's statuses and doubles exactly, across every query kind. Two
+  // banks, both with a ragged tail block:
+  // - 150 per chain × 4 chains = 600 rows: ≥512 so auto steps up to
+  //   8-word strips, 600 mod 64 = 24, and the second strip carries dead
+  //   blocks past the bank (10 blocks over strips of 8);
+  // - 34 per chain × 3 chains = 102 rows: one strip at every width, with
+  //   38 live lanes in its second block and every later word dead.
+  // Each bank is answered under a floor every conditional clears and under
+  // one none does (the refusal must read the same at every width), on a
+  // refreshed generation and on the one it replaced.
   const PointIcm model = SmallRandomModel(61, 12, 30);
-  auto bank = SampleBank::Create(model, FastBank(600), 77);
-  ASSERT_TRUE(bank.ok());
-  const auto generation = bank->Acquire();
-  ASSERT_GE(generation->num_rows(), 512u);
-  ASSERT_NE(generation->num_rows() % 64, 0u);
-
   QueryRequest community;
   community.kind = QueryKind::kCommunity;
   community.sources = {0, 3};
@@ -412,36 +412,71 @@ TEST(QueryEngine, LaneWidthsAgreeBitForBitIncludingConditionals) {
                                               joint, conditional,
                                               forbid_conditional};
 
-  QueryEngineOptions scalar_options;
-  scalar_options.use_batch_reachability = false;
-  scalar_options.min_conditional_rows = 4;
-  QueryEngine scalar = MakeEngine(*bank, scalar_options);
-  const std::vector<QueryResult> reference =
-      scalar.AnswerBatch(*generation, requests);
-
-  for (const LaneWidth lanes :
-       {LaneWidth::k64, LaneWidth::k256, LaneWidth::k512, LaneWidth::kAuto}) {
-    QueryEngineOptions options;
-    options.min_conditional_rows = 4;
-    options.lanes = lanes;
-    QueryEngine engine = MakeEngine(*bank, options);
-    const std::vector<QueryResult> results =
-        engine.AnswerBatch(*generation, requests);
-    ASSERT_EQ(results.size(), reference.size());
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      ASSERT_EQ(results[i].status.code(), reference[i].status.code())
-          << LaneWidthName(lanes) << " request " << i;
-      if (!results[i].status.ok()) continue;
-      EXPECT_EQ(results[i].effective_rows, reference[i].effective_rows)
-          << LaneWidthName(lanes) << " request " << i;
-      ASSERT_EQ(results[i].estimates.size(), reference[i].estimates.size());
-      for (std::size_t j = 0; j < results[i].estimates.size(); ++j) {
-        EXPECT_DOUBLE_EQ(results[i].estimates[j].value,
-                         reference[i].estimates[j].value)
-            << LaneWidthName(lanes) << " request " << i << " sink " << j;
-        EXPECT_DOUBLE_EQ(results[i].estimates[j].diagnostics.mcse,
-                         reference[i].estimates[j].diagnostics.mcse)
-            << LaneWidthName(lanes) << " request " << i << " sink " << j;
+  struct Shape {
+    std::size_t states;
+    std::size_t chains;
+    std::uint64_t seed;
+  };
+  for (const Shape shape : {Shape{600, 4, 77}, Shape{100, 3, 8}}) {
+    auto bank = SampleBank::Create(
+        model, FastBank(shape.states, shape.chains), shape.seed);
+    ASSERT_TRUE(bank.ok());
+    const auto replaced = bank->Acquire();
+    ASSERT_NE(replaced->num_rows() % 64, 0u);
+    bank->Refresh();
+    const auto refreshed = bank->Acquire();
+    ASSERT_EQ(refreshed->id(), replaced->id() + 1);
+    for (const std::size_t floor : {std::size_t{4}, std::size_t{4096}}) {
+      QueryEngineOptions scalar_options;
+      scalar_options.use_batch_reachability = false;
+      scalar_options.min_conditional_rows = floor;
+      QueryEngine scalar = MakeEngine(*bank, scalar_options);
+      for (const LaneWidth lanes : {LaneWidth::k64, LaneWidth::k256,
+                                    LaneWidth::k512, LaneWidth::kAuto}) {
+        QueryEngineOptions options;
+        options.min_conditional_rows = floor;
+        options.lanes = lanes;
+        QueryEngine engine = MakeEngine(*bank, options);
+        for (const auto& generation : {refreshed, replaced}) {
+          SCOPED_TRACE(std::to_string(generation->num_rows()) + " rows, " +
+                       "generation " + std::to_string(generation->id()) +
+                       ", floor " + std::to_string(floor) + ", " +
+                       LaneWidthName(lanes) + " lanes");
+          const std::vector<QueryResult> reference =
+              scalar.AnswerBatch(*generation, requests);
+          const std::vector<QueryResult> results =
+              engine.AnswerBatch(*generation, requests);
+          ASSERT_EQ(results.size(), reference.size());
+          for (std::size_t i = 0; i < results.size(); ++i) {
+            ASSERT_EQ(results[i].status.code(), reference[i].status.code())
+                << "request " << i;
+            EXPECT_EQ(results[i].status.message(),
+                      reference[i].status.message())
+                << "request " << i;
+            EXPECT_EQ(results[i].generation, generation->id());
+            if (!results[i].status.ok()) continue;
+            EXPECT_EQ(results[i].effective_rows, reference[i].effective_rows)
+                << "request " << i;
+            ASSERT_EQ(results[i].estimates.size(),
+                      reference[i].estimates.size());
+            for (std::size_t j = 0; j < results[i].estimates.size(); ++j) {
+              EXPECT_DOUBLE_EQ(results[i].estimates[j].value,
+                               reference[i].estimates[j].value)
+                  << "request " << i << " sink " << j;
+              EXPECT_DOUBLE_EQ(results[i].estimates[j].diagnostics.mcse,
+                               reference[i].estimates[j].diagnostics.mcse)
+                  << "request " << i << " sink " << j;
+            }
+          }
+          // Under the high floor every conditional is refused, at every
+          // width, with the message the scalar reference gives.
+          if (floor > generation->num_rows()) {
+            EXPECT_EQ(results[3].status.code(),
+                      StatusCode::kFailedPrecondition);
+            EXPECT_EQ(results[4].status.code(),
+                      StatusCode::kFailedPrecondition);
+          }
+        }
       }
     }
   }
@@ -764,6 +799,35 @@ TEST(Protocol, RejectsMalformedRequests) {
       ParseRequestLine(R"({"source":0,"sink":3,"flows":"1>2"})").ok());
   EXPECT_FALSE(
       ParseRequestLine(R"({"source":0,"sink":3,"timeout_ms":-1})").ok());
+  // Integers past their type are refused before any cast: 2^32 + 5 must
+  // not wrap to node 5, nor 1e300 to node 0, nor 2^64 to query id 0.
+  for (const char* line :
+       {R"({"id":"x","source":4294967301,"sink":5})",
+        R"({"sources":[0],"sinks":[4294967301]})",
+        R"({"source":1e300,"sink":5})", R"({"source":0,"sink":4294967296})",
+        R"({"source":0,"sink":3,"query_id":18446744073709551616})",
+        R"({"source":0,"sink":3,"query_id":1e20})"}) {
+    const auto parsed = ParseRequestLine(line);
+    ASSERT_FALSE(parsed.ok()) << line;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << line;
+  }
+  // The largest representable values still parse (range checks against
+  // the graph come later, in the engine).
+  auto widest = ParseRequestLine(
+      R"({"source":4294967295,"sink":0,"query_id":18446744073709549568})");
+  ASSERT_TRUE(widest.ok()) << widest.status();
+  EXPECT_EQ(widest->sources, std::vector<NodeId>({4294967295u}));
+  EXPECT_EQ(widest->query_id, 18446744073709549568u);
+  // Out-of-range trace capacities are refused the same way.
+  for (const char* line :
+       {R"({"trace":{"enable":true,"events_per_thread":1e30}})",
+        R"({"trace":{"enable":true,"events_per_thread":0}})"}) {
+    auto json = ParseJson(line);
+    ASSERT_TRUE(json.ok());
+    const auto admin = ParseAdminRequest(*json);
+    ASSERT_FALSE(admin.ok()) << line;
+    EXPECT_EQ(admin.status().code(), StatusCode::kInvalidArgument) << line;
+  }
 }
 
 TEST(Protocol, SerializesResultsAndErrors) {
@@ -828,11 +892,16 @@ TEST(Protocol, TopkRequestsParseWithAllFields) {
   for (const char* bad :
        {R"({"topk":0})", R"({"topk":-2})", R"({"topk":1.5})",
         R"({"topk":"three"})", R"({"topk":2,"candidates":[-1]})",
-        R"({"topk":2,"community":0})", R"({"topk":2,"given":"x>y"})"}) {
+        R"({"topk":2,"community":0})", R"({"topk":2,"given":"x>y"})",
+        R"({"id":"y","topk":1,"candidates":[4294967313]})",
+        R"({"topk":2,"community":[4294967296]})", R"({"topk":1e20})",
+        R"({"topk":2,"query_id":-1})"}) {
     auto line = ParseJson(bad);
     ASSERT_TRUE(line.ok());
     EXPECT_TRUE(IsTopkRequest(*line)) << bad;
-    EXPECT_FALSE(ParseTopkRequest(*line).ok()) << bad;
+    const auto parsed = ParseTopkRequest(*line);
+    ASSERT_FALSE(parsed.ok()) << bad;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << bad;
   }
 }
 
@@ -965,38 +1034,57 @@ TEST(Server, ServesBatchesInOrderWithPerLineErrors) {
 }
 
 TEST(Server, AnswersOverUnixSocket) {
+  // Connections are answered while the background refresher publishes new
+  // generations; a connection opened after a refresh answers from it, and
+  // Stop() quiesces the listener and the refresher (the TSan job runs
+  // this suite).
   const PointIcm model = SmallRandomModel(43, 10, 24);
   ServerOptions options;
   options.socket_path = testing::TempDir() + "/infoflow_serve_test.sock";
+  options.refresh_interval_ms = 1.0;
   Server server = MakeServer(model, options);
   ASSERT_TRUE(server.Start().ok());
 
-  const int client = socket(AF_UNIX, SOCK_STREAM, 0);
-  ASSERT_GE(client, 0);
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  std::strncpy(addr.sun_path, options.socket_path.c_str(),
-               sizeof(addr.sun_path) - 1);
-  ASSERT_EQ(connect(client, reinterpret_cast<const sockaddr*>(&addr),
-                    sizeof(addr)),
-            0);
-  const std::string request = "{\"id\":\"s1\",\"source\":0,\"sink\":5}\n";
-  ASSERT_EQ(write(client, request.data(), request.size()),
-            static_cast<ssize_t>(request.size()));
-  shutdown(client, SHUT_WR);
-  std::string output;
-  char chunk[4096];
-  ssize_t got;
-  while ((got = read(client, chunk, sizeof(chunk))) > 0) {
-    output.append(chunk, static_cast<std::size_t>(got));
+  // One connection, one flow query; returns the response line.
+  const auto ask = [&](const std::string& id) {
+    const int client = socket(AF_UNIX, SOCK_STREAM, 0);
+    EXPECT_GE(client, 0);
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, options.socket_path.c_str(),
+                 sizeof(addr.sun_path) - 1);
+    EXPECT_EQ(connect(client, reinterpret_cast<const sockaddr*>(&addr),
+                      sizeof(addr)),
+              0);
+    const std::string request =
+        "{\"id\":\"" + id + "\",\"source\":0,\"sink\":5}\n";
+    EXPECT_EQ(write(client, request.data(), request.size()),
+              static_cast<ssize_t>(request.size()));
+    shutdown(client, SHUT_WR);
+    std::string output;
+    char chunk[4096];
+    ssize_t got;
+    while ((got = read(client, chunk, sizeof(chunk))) > 0) {
+      output.append(chunk, static_cast<std::size_t>(got));
+    }
+    close(client);
+    return SplitLines(output).at(0);
+  };
+  auto first = ParseJson(ask("s1"));
+  ASSERT_TRUE(first.ok());
+  EXPECT_EQ(first->Find("id")->AsString(), "s1");
+  EXPECT_TRUE(first->Find("ok")->AsBool());
+  // Wait (bounded) for the refresher to publish past what s1 saw.
+  const double seen = first->Find("generation")->AsNumber();
+  for (int i = 0; i < 5000; ++i) {
+    if (static_cast<double>(server.bank().Acquire()->id()) > seen) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  close(client);
+  auto second = ParseJson(ask("s2"));
+  ASSERT_TRUE(second.ok());
+  EXPECT_TRUE(second->Find("ok")->AsBool());
+  EXPECT_GT(second->Find("generation")->AsNumber(), seen);
   server.Stop();
-
-  auto response = ParseJson(SplitLines(output).at(0));
-  ASSERT_TRUE(response.ok()) << output;
-  EXPECT_EQ(response->Find("id")->AsString(), "s1");
-  EXPECT_TRUE(response->Find("ok")->AsBool());
 }
 
 TEST(Server, ValidatesOptions) {
@@ -1096,7 +1184,6 @@ TEST(Server, AdminHealthVerbReportsBankAndIngestState) {
   EXPECT_GE(health->Find("generation_age_s")->AsNumber(), 0.0);
   EXPECT_GE(health->Find("model_epoch")->AsNumber(), 1.0);
   EXPECT_GT(health->Find("rows")->AsNumber(), 0.0);
-  EXPECT_EQ(health->Find("num_shards")->AsNumber(), 1.0);
   const JsonValue* ingest = health->Find("ingest");
   ASSERT_NE(ingest, nullptr);
   EXPECT_FALSE(ingest->Find("enabled")->AsBool());

@@ -64,6 +64,31 @@ if(NOT metrics_csv MATCHES "kind,name,field,value")
   message(FATAL_ERROR "metrics.csv is missing its header")
 endif()
 
+# serve refuses a flag it does not know (the retired --shards, a misspelt
+# --bank-state) by name, before it fills a bank. Empty stdin keeps a daemon
+# that wrongly started from waiting for queries.
+file(WRITE ${WORK_DIR}/no_queries.ndjson "")
+foreach(bad_flag shards bank-state)
+  execute_process(
+    COMMAND ${CLI} serve --model ${WORK_DIR}/model.bicm --${bad_flag} 2
+            --chains 2 --burn-in 200 --thinning 4
+    INPUT_FILE ${WORK_DIR}/no_queries.ndjson
+    RESULT_VARIABLE serve_code
+    OUTPUT_VARIABLE serve_out
+    ERROR_VARIABLE serve_err)
+  if(serve_code EQUAL 0)
+    message(FATAL_ERROR "serve --${bad_flag} exited 0; it must be refused")
+  endif()
+  if(NOT serve_err MATCHES "unknown flag --${bad_flag}\n")
+    message(FATAL_ERROR
+            "serve --${bad_flag}: the error does not name the flag: ${serve_err}")
+  endif()
+  if(serve_err MATCHES "bank ready")
+    message(FATAL_ERROR
+            "serve --${bad_flag} filled a bank before refusing the flag")
+  endif()
+endforeach()
+
 # Regression: a SIGTERM'd serve daemon must still flush --metrics-json
 # (the signal handlers read as EOF in the serve loop, so the daemon
 # unwinds cleanly instead of dying with its artifacts unwritten).

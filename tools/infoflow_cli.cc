@@ -488,12 +488,13 @@ void InstallServeSignalHandlers() {
 /// protocol on its end of a socketpair; the parent runs a ProcessRouter
 /// bridging stdin/stdout. Children never refresh (replicas must not
 /// diverge) and ingest is rejected up front for the same reason.
-int ServeShardProcs(Flags& flags, std::size_t shard_procs) {
+int ServeShardProcs(Flags& flags, std::size_t shard_procs,
+                    double shard_timeout_ms) {
   if (flags.GetBool("ingest") || !flags.Get("ingest-from", "").empty()) {
     return Fail(Status::InvalidArgument(
         "--shard-procs is shared-nothing (round-robin over replicas); "
-        "streamed evidence would reach only one replica — use in-process "
-        "--shards with --ingest instead"));
+        "streamed evidence would reach only one replica — serve --ingest "
+        "from a single daemon instead"));
   }
   if (flags.GetDouble("refresh-ms", 0.0) != 0.0) {
     return Fail(Status::InvalidArgument(
@@ -519,9 +520,6 @@ int ServeShardProcs(Flags& flags, std::size_t shard_procs) {
       dup2(sv[1], 0);
       dup2(sv[1], 1);
       if (sv[1] > 1) close(sv[1]);
-      // A replica keeps the parent's --shards flag: each child may itself
-      // run the in-process sharded engine, so router spans, shard replay
-      // spans, and replica spans all join one query_id-keyed trace tree.
       // Periodic writers are router-side concerns — P replicas rewriting
       // the same artifact paths would clobber each other.
       flags.Set("stats-every", "0");
@@ -536,7 +534,7 @@ int ServeShardProcs(Flags& flags, std::size_t shard_procs) {
   }
   serve::ProcessRouter::Options router_options;
   router_options.max_batch = flags.GetInt("max-batch", 64);
-  router_options.child_timeout_ms = flags.GetDouble("shard-timeout-ms", 0.0);
+  router_options.child_timeout_ms = shard_timeout_ms;
   router_options.interrupt = &g_serve_interrupt;
   InstallServeSignalHandlers();
   Status status;
@@ -565,35 +563,23 @@ int CmdServe(Flags& flags) {
   if (!model_path.ok()) return Fail(model_path.status());
   const std::uint64_t seed = flags.GetInt("seed", 1);
   const std::size_t shard_procs = flags.GetInt("shard-procs", 0);
-  if (shard_procs > 0) {
-    flags.Set("shard-procs", "0");  // children take the in-process path
-    return ServeShardProcs(flags, shard_procs);
-  }
-  // Catch SIGTERM/SIGINT from the start: a signal during bank warm-up is
-  // remembered and read as EOF once the serve loop begins, so a signalled
-  // daemon always unwinds cleanly and writes its observability artifacts.
-  InstallServeSignalHandlers();
-
-  auto model = LoadAnyModel(*model_path);
-  if (!model.ok()) return Fail(model.status());
-  const std::size_t num_edges = model->graph().num_edges();
+  const double shard_timeout_ms = flags.GetDouble("shard-timeout-ms", 0.0);
 
   serve::BankOptions bank_options;
   bank_options.num_states = flags.GetInt("bank-states", 4096);
   bank_options.chain.num_chains =
       std::max<std::size_t>(1, flags.GetInt("chains", 4));
   bank_options.chain.num_threads = flags.GetInt("threads", 0);
-  bank_options.chain.mh.burn_in = flags.GetInt("burn-in", 4 * num_edges);
-  bank_options.chain.mh.thinning = flags.GetInt(
-      "thinning", std::max<std::size_t>(8, num_edges / 8));
+  // The chain defaults (burn-in 4m, thinning max(8, m/8)) scale with the
+  // model's edge count, so they are resolved once the model is loaded.
+  const std::string burn_in = flags.Get("burn-in", "");
+  const std::string thinning = flags.Get("thinning", "");
 
   serve::ServerOptions server_options;
   server_options.max_batch = flags.GetInt("max-batch", 64);
   server_options.socket_path = flags.Get("socket", "");
   server_options.refresh_interval_ms = flags.GetDouble("refresh-ms", 0.0);
   server_options.drift_threshold = flags.GetDouble("drift-threshold", 0.0);
-  server_options.num_shards = flags.GetInt("shards", 1);
-  server_options.partition_seed = flags.GetInt("partition-seed", 7);
   server_options.engine.min_conditional_rows =
       flags.GetInt("min-conditional-rows", 32);
   server_options.engine.num_threads = flags.GetInt("threads", 0);
@@ -633,23 +619,50 @@ int CmdServe(Flags& flags) {
   server_options.interrupt = &g_serve_interrupt;
 
   // Streaming ingestion: --ingest enables the serve-connection verb,
-  // --ingest-from additionally tails a file/FIFO side channel.
+  // --ingest-from additionally tails a file/FIFO side channel. Its tuning
+  // flags are read even when ingestion is off, so none of them is
+  // mistaken for an unknown flag below.
   const std::string ingest_from = flags.Get("ingest-from", "");
   const bool ingest_enabled = flags.GetBool("ingest") || !ingest_from.empty();
+  stream::IngestorOptions ingest_options;
+  ingest_options.trainer.decay = flags.GetDouble("decay", 1.0);
+  ingest_options.trainer.window = flags.GetInt("window", 0);
+  ingest_options.epoch_every = flags.GetInt("epoch-every", 64);
+  ingest_options.queue_capacity = flags.GetInt("queue-capacity", 1024);
+  ingest_options.seed = seed;
+  const std::string queue_policy = flags.Get("queue-policy", "park");
+  const std::string ingest_format = flags.Get("ingest-format", "auto");
+
+  // Every flag serve knows has been read: anything left over is a typo or
+  // a retired flag, refused by name before any bank is filled.
+  const Status unused = flags.CheckUnused();
+  if (!unused.ok()) return Fail(unused);
+
+  if (shard_procs > 0) {
+    flags.Set("shard-procs", "0");  // children take the in-process path
+    return ServeShardProcs(flags, shard_procs, shard_timeout_ms);
+  }
+  // Catch SIGTERM/SIGINT from the start: a signal during bank warm-up is
+  // remembered and read as EOF once the serve loop begins, so a signalled
+  // daemon always unwinds cleanly and writes its observability artifacts.
+  InstallServeSignalHandlers();
+
+  auto model = LoadAnyModel(*model_path);
+  if (!model.ok()) return Fail(model.status());
+  const std::size_t num_edges = model->graph().num_edges();
+  bank_options.chain.mh.burn_in =
+      burn_in.empty() ? 4 * num_edges
+                      : std::strtoull(burn_in.c_str(), nullptr, 10);
+  bank_options.chain.mh.thinning =
+      thinning.empty() ? std::max<std::size_t>(8, num_edges / 8)
+                       : std::strtoull(thinning.c_str(), nullptr, 10);
+
   std::shared_ptr<stream::StreamIngestor> ingestor;
   if (ingest_enabled) {
-    stream::IngestorOptions ingest_options;
-    ingest_options.trainer.decay = flags.GetDouble("decay", 1.0);
-    ingest_options.trainer.window = flags.GetInt("window", 0);
-    ingest_options.epoch_every = flags.GetInt("epoch-every", 64);
-    ingest_options.queue_capacity = flags.GetInt("queue-capacity", 1024);
-    ingest_options.seed = seed;
-    auto policy =
-        stream::ParseQueueOverflowPolicy(flags.Get("queue-policy", "park"));
+    auto policy = stream::ParseQueueOverflowPolicy(queue_policy);
     if (!policy.ok()) return Fail(policy.status());
     ingest_options.queue_policy = *policy;
-    auto format =
-        stream::ParseStreamFormat(flags.Get("ingest-format", "auto"));
+    auto format = stream::ParseStreamFormat(ingest_format);
     if (!format.ok()) return Fail(format.status());
     ingest_options.format = *format;
     const Status valid = ingest_options.Validate();
@@ -938,12 +951,10 @@ int Usage() {
       "                      [--backend auto|analytic|bank] (default backend\n"
       "                      for requests without a \"backend\" field)\n"
       "                      (NDJSON queries on stdin -> responses on stdout)\n"
-      "    sharding:         [--shards N] (partition the graph, one engine\n"
-      "                      per shard, bit-identical answers; N=1 is the\n"
-      "                      plain single-engine path)\n"
-      "                      [--partition-seed S] [--shard-procs P] (fork P\n"
-      "                      full-replica child processes, round-robin NDJSON\n"
-      "                      routing; excludes --ingest/--refresh-ms)\n"
+      "    replicas:         [--shard-procs P] (fork P full-replica child\n"
+      "                      processes, round-robin NDJSON routing; fault\n"
+      "                      isolation, not speed; excludes\n"
+      "                      --ingest/--refresh-ms)\n"
       "                      [--shard-timeout-ms T] (per-batch child deadline)\n"
       "    streaming:        [--ingest] ({\"ingest\":\"<record>\"} lines on the\n"
       "                      connection) [--ingest-from path] (tail a file or\n"
