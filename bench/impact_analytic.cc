@@ -250,9 +250,6 @@ int Run(const BenchArgs& args) {
     serve::BankOptions bank_options;
     bank_options.num_states = bank_states;
     bank_options.chain.num_chains = 4;
-    bank_options.chain.mh.burn_in = 2 * shape.graph->num_edges();
-    bank_options.chain.mh.thinning =
-        std::max<std::size_t>(8, shape.graph->num_edges() / 16);
     WallTimer warmup;
     auto bank = serve::SampleBank::Create(model, bank_options, args.seed);
     if (!bank.ok()) {

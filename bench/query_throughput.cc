@@ -9,7 +9,7 @@
 /// Bernoulli edge draws (density 0.5), packed row-major for the scalar
 /// path, transposed into the edge-major plane (bit_transpose.h) for the
 /// 64-lane path, and interleaved into 4/8-word strips (strip_plane.h) for
-/// the 256/512-lane paths — exactly the layouts serve/SampleBank holds.
+/// the 256/512-lane paths — the layouts the serve engine replays.
 /// Every path's per-row hit counts must agree exactly; a divergence fails
 /// the bench.
 ///
@@ -46,8 +46,8 @@ struct SizePoint {
   EdgeId edges;
 };
 
-/// Row-major packed random rows plus their edge-major transpose — the two
-/// layouts a SampleBank generation holds.
+/// Row-major packed random rows plus their edge-major transpose — the
+/// layouts the serve engine's scalar and bit-parallel paths replay.
 struct RowSet {
   std::size_t num_rows = 0;
   std::size_t words_per_row = 0;
@@ -73,7 +73,7 @@ RowSet MakeRows(const DirectedGraph& graph, std::size_t num_rows,
       if (rng.Bernoulli(density)) row[e >> 6] |= std::uint64_t{1} << (e & 63);
     }
   }
-  // The same cache-blocked 64×64 transpose SampleBank::Fill runs.
+  // Cache-blocked 64×64 transpose into the edge-major plane.
   WallTimer timer;
   set.edge_major.assign(set.num_blocks() * graph.num_edges(), 0);
   std::uint64_t tile[64];

@@ -144,14 +144,11 @@ int Run(const BenchArgs& args) {
         ingestor.PublishNow().status().CheckOK();
       });
 
-  // Stage 5: the rebuild a drift-crossing epoch triggers — fresh chains,
-  // burn-in, one generation fill (serve-tuning chains, small bank).
+  // Stage 5: the rebuild a drift-crossing epoch triggers — one generation
+  // drawn from the new model (small bank).
   serve::BankOptions bank_options;
   bank_options.num_states = args.quick ? 128 : 512;
   bank_options.chain.num_chains = 4;
-  bank_options.chain.mh.burn_in = 4 * graph->num_edges();
-  bank_options.chain.mh.thinning =
-      std::max<std::size_t>(8, graph->num_edges() / 8);
   auto bank = serve::SampleBank::Create(truth, bank_options, args.seed);
   bank.status().CheckOK();
   timer.Restart();
@@ -207,7 +204,7 @@ int Run(const BenchArgs& args) {
   }
   std::printf("shape: ingest is parse-dominated; the epoch swap is a fit "
               "plus a pointer exchange, and the (async) bank rebuild is "
-              "burn-in-dominated — which is why it runs off the serve "
+              "one full fill — which is why it runs off the serve "
               "thread.\n");
   args.MaybeWriteCsv(csv, "stream_ingest.csv");
   return 0;

@@ -1,6 +1,5 @@
 #include "core/impact.h"
 
-#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <utility>
@@ -32,32 +31,6 @@ void ImpactDistribution::Record(std::uint32_t impact) {
   if (impact >= counts.size()) counts.resize(impact + 1, 0);
   ++counts[impact];
 }
-
-namespace {
-
-/// \brief 64 independent Bernoulli(p) draws packed into one word.
-///
-/// Uses the binary-expansion composition: with p = 0.b₁b₂…b₃₂, processing
-/// the expansion from its least significant bit upward with
-/// `acc = bᵢ ? (acc | r) : (acc & r)` over fresh random words r leaves each
-/// bit of `acc` set with probability p (to 2⁻³² precision) — ≤ 32 RNG words
-/// for 64 draws instead of 64 uniforms, and usually far fewer since the
-/// loop starts at the expansion's lowest set bit.
-std::uint64_t BernoulliWord(double p, Rng& rng) {
-  if (p <= 0.0) return 0;
-  if (p >= 1.0) return ~std::uint64_t{0};
-  const auto m = static_cast<std::uint32_t>(
-      std::lround(std::ldexp(p, 32)));
-  if (m == 0) return 0;
-  std::uint64_t acc = 0;
-  for (int i = std::countr_zero(m); i < 32; ++i) {
-    const std::uint64_t r = rng.NextU64();
-    acc = ((m >> i) & 1) != 0 ? (acc | r) : (acc & r);
-  }
-  return acc;
-}
-
-}  // namespace
 
 ImpactDistribution SimulateImpact(const PointIcm& model, NodeId source,
                                   std::size_t num_cascades, Rng& rng) {

@@ -294,14 +294,6 @@ const PseudoState& MhSampler::NextSample() {
   return state_;
 }
 
-void MhSampler::ForEachSample(
-    std::size_t num_samples,
-    const std::function<void(std::size_t, const PseudoState&)>& visit) {
-  IF_CHECK(num_samples > 0) << "need at least one sample";
-  for (std::size_t i = 0; i < num_samples; ++i) visit(i, NextSample());
-  FlushMetrics();
-}
-
 double MhSampler::EstimateFlowProbability(NodeId source, NodeId sink,
                                           std::size_t num_samples) {
   IF_CHECK(num_samples > 0) << "need at least one sample";

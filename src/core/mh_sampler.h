@@ -32,7 +32,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "core/flow_query.h"
@@ -90,15 +89,6 @@ class MhSampler {
   /// runs the burn-in, subsequent calls run δ′+1 steps. Returns the current
   /// pseudo-state (valid until the next call).
   const PseudoState& NextSample();
-
-  /// \brief Streams `num_samples` retained pseudo-states to `visit` as they
-  /// are produced — `visit(i, state)` runs once per retained sample, in
-  /// order, with the state valid only for the duration of the call. This is
-  /// the zero-copy hook consumers like serve/SampleBank use to pack states
-  /// without buffering them; the Estimate* methods are thin folds over it.
-  void ForEachSample(
-      std::size_t num_samples,
-      const std::function<void(std::size_t, const PseudoState&)>& visit);
 
   /// \brief Estimate Pr[source ⤳ sink | M, C] from `num_samples` retained
   /// samples (Eq. 5).

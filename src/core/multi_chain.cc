@@ -163,14 +163,6 @@ void MultiChainSampler::PublishDiagnostics(const ChainDiagnostics& diag) {
   metric_estimates_->Increment();
 }
 
-void MultiChainSampler::ForEachSample(
-    std::size_t num_samples,
-    const std::function<void(std::size_t, std::size_t, const PseudoState&)>&
-        visit) {
-  obs::TraceSpan span("multi_chain/for_each_sample");
-  RunChains(SamplesPerChain(num_samples), visit);
-}
-
 MultiChainEstimate MultiChainSampler::EstimateFlowProbability(
     NodeId source, NodeId sink, std::size_t num_samples) {
   obs::TraceSpan span("multi_chain/estimate_flow");

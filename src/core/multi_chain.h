@@ -47,7 +47,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -120,17 +119,6 @@ class MultiChainSampler {
   /// The documented seed contract: SplitMix64 finalizer over
   /// seed + (chain+1)·golden-ratio. Exposed so tests can pin it.
   static std::uint64_t DeriveChainSeed(std::uint64_t seed, std::size_t chain);
-
-  /// \brief Streams SamplesPerChain(num_samples) retained states per chain
-  /// to `visit(chain, index, state)` as they are produced. The visitor runs
-  /// on the pool worker that owns `chain`: calls for one chain are ordered
-  /// by index, calls for different chains are concurrent, so the visitor
-  /// must only touch state owned by (or sharded by) its chain argument.
-  /// This is the streaming fill hook serve/SampleBank packs rows through.
-  void ForEachSample(
-      std::size_t num_samples,
-      const std::function<void(std::size_t, std::size_t, const PseudoState&)>&
-          visit);
 
   /// \brief Pooled estimate of Pr[source ⤳ sink | M, C] (Eq. 5) from
   /// num_chains·⌈num_samples/num_chains⌉ retained samples.

@@ -12,8 +12,7 @@
 ///
 /// Input layout is **edge-major**: `edge_words[e]` is edge e's activity
 /// across the 64 samples of a block (bit s = sample s). The serve
-/// SampleBank materializes this plane per generation (built from its packed
-/// rows by 64×64 bitset transpose, see bit_transpose.h); samplers pack it
+/// SampleBank draws this plane directly per generation; MH samplers pack it
 /// incrementally as retained states stream out of a chain.
 ///
 /// `lane_mask` restricts a run to a subset of samples: propagation never

@@ -1,13 +1,14 @@
 /// \file bit_transpose.h
 /// \brief In-register 64×64 bitset transpose.
 ///
-/// The serve SampleBank stores retained pseudo-states twice: row-major
-/// (one packed edge-bit row per state — what scalar RunPacked consumes) and
-/// edge-major (for each edge, one word whose bit s is the edge's activity in
-/// sample s of a 64-sample block — what BatchReachabilityWorkspace consumes).
-/// Converting between the two layouts is a 64×64 bit-matrix transpose per
-/// (64-row block × 64-edge column) tile; the recursive block-swap below does
-/// it in 6·64 word operations, entirely in registers (Hacker's Delight §7-3).
+/// The serve SampleBank stores pseudo-states edge-major (for each edge, one
+/// word whose bit s is the edge's activity in row s of a 64-row block —
+/// what BatchReachabilityWorkspace consumes). The scalar reference path
+/// replays row-major packed rows instead (one edge-bit row per state — what
+/// RunPacked consumes). Converting between the two layouts is a 64×64
+/// bit-matrix transpose per (64-row block × 64-edge column) tile; the
+/// recursive block-swap below does it in 6·64 word operations, entirely in
+/// registers (Hacker's Delight §7-3).
 
 #pragma once
 

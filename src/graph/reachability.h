@@ -43,9 +43,9 @@ class ReachabilityWorkspace {
 
   /// \brief As Run(), but edge activity comes from a word-packed bit row
   /// (bit e of `edge_bits` — word e/64, bit e%64 — is edge e's activity).
-  /// `edge_bits` must span ceil(m/64) words. This is the form the serve
-  /// SampleBank stores retained pseudo-states in; batch queries BFS straight
-  /// over the packed rows without unpacking.
+  /// `edge_bits` must span ceil(m/64) words. The serve engine's scalar
+  /// reference path replays bank rows in this form, unpacked from the
+  /// bank's edge-major plane.
   void RunPacked(const DirectedGraph& graph,
                  const std::vector<NodeId>& sources,
                  const std::uint64_t* edge_bits);

@@ -5,8 +5,8 @@
 /// per edge — word `words[(s*num_edges + e)*W + w]` is edge e's activity
 /// across the 64 samples of block s·W+w (bit t = sample t of that block).
 /// The layout is built by *interleaving* the per-block edge-major planes the
-/// SampleBank already materializes via the 64×64 transpose (bit_transpose.h)
-/// — no new bit-level transpose is needed, just a word gather. Blocks past
+/// SampleBank already holds — no bit-level transpose is needed, just a word
+/// gather. Blocks past
 /// the bank's last 64-row block (a ragged tail strip) stay zero, and the
 /// per-strip lane masks carry the valid-lane words so dead lanes never
 /// propagate.

@@ -295,9 +295,12 @@ Result<RrSketchSet> RrSketchSet::Build(
   set.postings_.resize(set.offsets_.back());
   std::vector<std::size_t> cursor(set.offsets_.begin(),
                                   set.offsets_.end() - 1);
+  set.coverage_.assign(n, 0);
   for (const std::vector<NodePosting>& br : block_raw) {
     for (const NodePosting& np : br) {
       set.postings_[cursor[np.node]++] = np.posting;
+      set.coverage_[np.node] +=
+          static_cast<std::uint64_t>(std::popcount(np.posting.lanes));
     }
   }
 

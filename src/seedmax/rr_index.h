@@ -164,6 +164,10 @@ class RrSketchSet {
             postings_.data() + offsets_[u + 1]};
   }
 
+  /// Sketches node `u` covers: the lanes of all its postings, counted once
+  /// at build time (the selector's first-round gains).
+  std::uint64_t Coverage(NodeId u) const { return coverage_[u]; }
+
  private:
   RrSketchSet() = default;
 
@@ -177,6 +181,8 @@ class RrSketchSet {
   bool conditioned_ = false;
   std::vector<std::size_t> offsets_;
   std::vector<RrPosting> postings_;
+  /// coverage_[u] = Σ popcount of Postings(u)'s lanes.
+  std::vector<std::uint64_t> coverage_;
 };
 
 /// \brief Generation-keyed cache of the default sketch set: Acquire builds

@@ -1,8 +1,10 @@
 #include "seedmax/seed_selector.h"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <queue>
+#include <vector>
 
 #include "obs/metrics.h"
 
@@ -108,16 +110,37 @@ Result<SeedMaxResult> SelectSeeds(const RrSketchSet& sketches,
     return gain;
   };
 
-  // Round 0 evaluates every candidate once (coverage is empty, so the
-  // posting walk needs no masking — but gain_of keeps one code path).
+  // Round 0 evaluates every candidate once. Coverage is still empty, so a
+  // candidate's gain is every sketch it covers, which the sketch set
+  // counted at build time — no posting walk per request.
   std::priority_queue<Entry, std::vector<Entry>, EntryLess> queue;
   for (const NodeId u : candidates) {
-    queue.push({gain_of(u), u, 0});
+    queue.push({sketches.Coverage(u), u, 0});
   }
+  result.evaluations += candidates.size();
 
   const double r_total = static_cast<double>(sketches.num_sketches());
   const double scale = static_cast<double>(sketches.universe());
   std::uint64_t covered_total = 0;
+  // Each surviving row holds one sketch per target, and its sketches are
+  // strongly correlated (one pseudo-state's cascade covers many targets
+  // together), while rows are independent. So the spread is the mean over
+  // surviving rows of the row's covered-target count, and its MCSE is that
+  // count's SD over rows / sqrt(rows). Sketch group g is (target g / B,
+  // block g % B) for B blocks; lane l of block b is row 64·b + l. A pick
+  // first sums its newly covered lanes per block in bit-sliced counters
+  // (word i holds bit i of every lane's count) — a few word operations per
+  // posting instead of one step per lane — and folds them into the per-row
+  // counts once.
+  const std::size_t num_blocks =
+      sketches.universe() > 0 ? sketches.num_groups() / sketches.universe()
+                              : 0;
+  const auto levels =
+      static_cast<std::size_t>(std::bit_width(sketches.universe()));
+  const double rows = static_cast<double>(sketches.effective_rows());
+  std::vector<std::uint64_t> row_covered(num_blocks * 64, 0);
+  std::vector<std::uint64_t> added(num_blocks * levels, 0);
+  std::uint64_t sum_sq = 0;  // Σ over rows of covered count²
   while (result.picks.size() < options.num_seeds) {
     Entry top = queue.top();
     queue.pop();
@@ -139,9 +162,32 @@ Result<SeedMaxResult> SelectSeeds(const RrSketchSet& sketches,
     // Apply the pick: fold its lanes into the coverage.
     std::uint64_t marginal = 0;
     for (const RrPosting& p : sketches.Postings(top.node)) {
-      marginal += static_cast<std::uint64_t>(
-          std::popcount(p.lanes & ~covered[p.group]));
+      std::uint64_t fresh = p.lanes & ~covered[p.group];
+      marginal += static_cast<std::uint64_t>(std::popcount(fresh));
       covered[p.group] |= p.lanes;
+      // Ripple-carry: add one to the count of every fresh lane.
+      std::uint64_t* slice = &added[(p.group % num_blocks) * levels];
+      for (std::size_t i = 0; fresh != 0; ++i) {
+        const std::uint64_t carry = slice[i] & fresh;
+        slice[i] ^= fresh;
+        fresh = carry;
+      }
+    }
+    for (std::size_t b = 0; b < num_blocks; ++b) {
+      std::uint64_t* slice = &added[b * levels];
+      std::uint64_t lanes = 0;
+      for (std::size_t i = 0; i < levels; ++i) lanes |= slice[i];
+      for (; lanes != 0; lanes &= lanes - 1) {
+        const auto lane = static_cast<std::size_t>(std::countr_zero(lanes));
+        std::uint64_t d = 0;
+        for (std::size_t i = 0; i < levels; ++i) {
+          d |= ((slice[i] >> lane) & 1) << i;
+        }
+        std::uint64_t& count = row_covered[b * 64 + lane];
+        sum_sq += d * (2 * count + d);
+        count += d;
+      }
+      std::fill(slice, slice + levels, 0);
     }
     covered_total += marginal;
     metrics.selections->Increment();
@@ -152,9 +198,13 @@ Result<SeedMaxResult> SelectSeeds(const RrSketchSet& sketches,
     const double p_hat =
         r_total > 0 ? static_cast<double>(covered_total) / r_total : 0.0;
     pick.spread = scale * p_hat;
-    pick.mcse = r_total > 0
-                    ? scale * std::sqrt(p_hat * (1.0 - p_hat) / r_total)
-                    : 0.0;
+    if (rows > 1.0) {
+      const double mean = static_cast<double>(covered_total) / rows;
+      const double var =
+          std::max(0.0, (static_cast<double>(sum_sq) - rows * mean * mean) /
+                            (rows - 1.0));
+      pick.mcse = std::sqrt(var / rows);
+    }
     result.picks.push_back(pick);
   }
 

@@ -43,7 +43,10 @@ struct SeedPick {
   /// Unbiased spread estimate of the seed set up to and including this
   /// pick: universe · (covered / R).
   double spread = 0.0;
-  /// Binomial MCSE of that estimate: universe · sqrt(p̂(1 − p̂) / R).
+  /// MCSE of that estimate. The spread is the mean over surviving rows of
+  /// the row's covered-target count, so this is that count's SD over the
+  /// rows / sqrt(rows): a row's sketches share one pseudo-state and are
+  /// counted together, not as independent draws.
   double mcse = 0.0;
 };
 

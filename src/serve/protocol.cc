@@ -168,18 +168,6 @@ Result<AdminRequest> ParseAdminRequest(const JsonValue& json) {
   return request;
 }
 
-std::string SerializeAdminError(const AdminRequest& request,
-                                const Status& status) {
-  JsonValue::Object response;
-  response["id"] = request.id;
-  response["ok"] = false;
-  JsonValue::Object error;
-  error["code"] = StatusCodeName(status.code());
-  error["message"] = status.message();
-  response["error"] = std::move(error);
-  return JsonValue(std::move(response)).Dump();
-}
-
 bool IsTopkRequest(const JsonValue& json) {
   return json.is_object() && json.Find("topk") != nullptr;
 }
@@ -460,9 +448,11 @@ std::string SerializeResult(const QueryRequest& request,
   return JsonValue(std::move(response)).Dump();
 }
 
-std::string SerializeParseError(const Status& status) {
+std::string SerializeParseError(const Status& status, const JsonValue* line) {
+  const JsonValue* id =
+      line != nullptr && line->is_object() ? line->Find("id") : nullptr;
   JsonValue::Object response;
-  response["id"] = JsonValue();
+  response["id"] = id != nullptr && id->is_string() ? *id : JsonValue();
   response["ok"] = false;
   JsonValue::Object error;
   error["code"] = StatusCodeName(status.code());

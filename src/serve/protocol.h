@@ -102,10 +102,6 @@ bool IsAdminRequest(const JsonValue& json);
 /// \brief Parses one admin verb object.
 Result<AdminRequest> ParseAdminRequest(const JsonValue& json);
 
-/// \brief Error line for a malformed or unsupported admin verb.
-std::string SerializeAdminError(const AdminRequest& request,
-                                const Status& status);
-
 /// \brief One top-k seed-selection request on the serve connection
 /// (seedmax/: greedy max-coverage over the bank's reverse-reachable
 /// sketches):
@@ -175,8 +171,10 @@ Result<QueryRequest> ParseRequestLine(std::string_view line);
 std::string SerializeResult(const QueryRequest& request,
                             const QueryResult& result);
 
-/// \brief An error response for a line that failed to parse (no request to
-/// echo an id from; "id" is null).
-std::string SerializeParseError(const Status& status);
+/// \brief An error response for a line that failed to parse or validate.
+/// Echoes the line's "id" when `line` is a JSON object whose "id" is a
+/// string; "id" is null otherwise (and when the line is not JSON at all).
+std::string SerializeParseError(const Status& status,
+                                const JsonValue* line = nullptr);
 
 }  // namespace infoflow::serve

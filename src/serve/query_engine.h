@@ -2,10 +2,10 @@
 /// \brief Batched flow-query answering over a SampleBank generation.
 ///
 /// Every query kind is the same estimator replayed over bank rows: for each
-/// retained pseudo-state x, evaluate an indicator by BFS over x's packed
-/// edge bits, then average (Eq. 5). Conditioning (Eq. 7/8) filters the rows
-/// by I(x, C) first — the surviving count is reported as `effective_rows`
-/// so callers can see how much evidence the conditional estimate rests on,
+/// pseudo-state x the bank drew from Pr[x | M], evaluate an indicator by
+/// BFS over x's edge bits, then average (Eq. 5). Conditioning (Eq. 7/8)
+/// filters the rows by I(x, C) first — the surviving count, `effective_rows`,
+/// lets callers see how much evidence the conditional estimate rests on,
 /// and queries whose surviving count falls below a floor fail with a
 /// descriptive Status instead of returning a noisy ratio.
 ///
@@ -28,8 +28,8 @@
 /// bit-identical results, which the differential tests assert.
 ///
 /// Every estimate carries ChainDiagnostics (split-R̂ / ESS / MCSE, see
-/// stats/convergence.h) computed from the per-chain draw sequences the
-/// bank's chain-major row layout preserves.
+/// stats/convergence.h) computed from indicator popcounts: the rows are
+/// i.i.d., and split-R̂ reads the two halves of each of the bank's streams.
 ///
 /// Thread-safety: an engine instance must be driven by one thread at a time
 /// (it reuses per-worker scratch); the serve daemon gives each connection
@@ -73,7 +73,7 @@ const char* QueryKindName(QueryKind kind);
 
 /// \brief Which estimator answers a query.
 ///
-/// `kBank` is the classic Eq. 5 replay over retained MH rows; `kAnalytic`
+/// `kBank` is the classic Eq. 5 replay over the bank's rows; `kAnalytic`
 /// is the sampling-free message-passing estimator (analytic/
 /// cascade_estimator.h); `kAuto` lets the BackendDispatcher route per
 /// query — analytic only when the query is unconditional, non-joint, and

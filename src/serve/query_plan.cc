@@ -6,6 +6,7 @@
 #include <chrono>
 #include <utility>
 
+#include "graph/bit_transpose.h"
 #include "graph/strip_ops.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -65,6 +66,71 @@ struct PlanMetrics {
   }
 };
 
+/// Set bits of `words[r/64] & mask[r/64]` over rows [begin, end); a null
+/// mask counts every row of `words`.
+std::size_t CountRows(const std::uint64_t* words, const std::uint64_t* mask,
+                      std::size_t begin, std::size_t end) {
+  std::size_t count = 0;
+  for (std::size_t w = begin / 64; w * 64 < end; ++w) {
+    std::uint64_t bits = words[w] & (mask != nullptr ? mask[w] : ~0ULL);
+    if (w * 64 < begin) bits &= ~0ULL << (begin % 64);
+    if ((w + 1) * 64 > end) bits &= ~(~0ULL << (end % 64));
+    count += static_cast<std::size_t>(std::popcount(bits));
+  }
+  return count;
+}
+
+/// The row just past the `n`-th set bit of `mask` at or after row `begin`
+/// (`begin` itself when n = 0; the caller guarantees n bits exist).
+std::size_t RowAfterNth(const std::uint64_t* mask, std::size_t begin,
+                        std::size_t n) {
+  if (n == 0) return begin;
+  std::size_t w = begin / 64;
+  std::uint64_t bits = mask[w] & (~0ULL << (begin % 64));
+  for (;;) {
+    const auto in_word = static_cast<std::size_t>(std::popcount(bits));
+    if (in_word >= n) {
+      for (; n > 1; --n) bits &= bits - 1;
+      return w * 64 + static_cast<std::size_t>(std::countr_zero(bits)) + 1;
+    }
+    n -= in_word;
+    bits = mask[++w];
+  }
+}
+
+/// One split-R̂ half of a row stream within a row set (every row, or one
+/// conditioning set's survivors): rows [begin, end), holding `rows` rows of
+/// the set.
+struct StreamHalf {
+  std::size_t begin = 0;
+  std::size_t end = 0;
+  std::size_t rows = 0;
+};
+
+/// Both halves of every row stream, stream by stream: stream k (rows
+/// [k·R, (k+1)·R)) with n_k rows in the set splits into its first ⌊n_k/2⌋
+/// and next ⌊n_k/2⌋ of them — the split ComputeChainDiagnostics applies to
+/// a sequence of n_k draws. A null mask is the set of every row.
+std::vector<StreamHalf> SplitStreams(const BankGeneration& bank,
+                                     const std::uint64_t* mask) {
+  std::vector<StreamHalf> halves;
+  const std::size_t per = bank.rows_per_chain();
+  for (std::size_t k = 0; k < bank.num_chains(); ++k) {
+    const std::size_t begin = k * per;
+    std::size_t h = per / 2;
+    std::size_t mid = begin + h;
+    std::size_t end = mid + h;
+    if (mask != nullptr) {
+      h = CountRows(mask, nullptr, begin, begin + per) / 2;
+      mid = RowAfterNth(mask, begin, h);
+      end = RowAfterNth(mask, mid, h);
+    }
+    halves.push_back({begin, mid, h});
+    halves.push_back({mid, end, h});
+  }
+  return halves;
+}
+
 /// One distinct conditioning set within a batch: its row mask is computed
 /// once and shared by every query conditioning on it.
 struct GivenSet {
@@ -77,6 +143,8 @@ struct GivenSet {
   /// word per bank block, bits always within the block's lane mask.
   std::vector<std::uint64_t> mask;
   std::size_t survivors = 0;
+  /// Where each row stream's split-R̂ halves lie among the survivors.
+  std::vector<StreamHalf> halves;
   /// Latest member deadline — the mask scan runs while any member has time.
   Clock::time_point deadline = Clock::time_point::max();
   bool expired = false;
@@ -148,7 +216,31 @@ BlockOps::BlockOps(
       workspaces_(workspaces),
       batch_workspaces_(batch_workspaces),
       strip_plane_(strip_plane),
-      strip_workspaces_(strip_workspaces) {}
+      strip_workspaces_(strip_workspaces),
+      row_scratch_(workspaces.size()) {}
+
+const std::uint64_t* BlockOps::UnpackBlockRows(std::size_t worker,
+                                               std::size_t block) {
+  // One 64×64 transpose per 64-edge column turns the block's edge words
+  // into the packed rows ReachabilityWorkspace::RunPacked reads: row s of
+  // the block starts at word s·PackedRowWords(num_edges).
+  const std::size_t num_edges = bank_.num_edges();
+  const std::size_t words_per_row = PackedRowWords(num_edges);
+  std::vector<std::uint64_t>& rows = row_scratch_[worker];
+  rows.resize(64 * words_per_row);
+  const std::uint64_t* plane = bank_.BlockEdgeWords(block);
+  std::uint64_t tile[64];
+  for (std::size_t w = 0; w < words_per_row; ++w) {
+    const std::size_t e0 = w * 64;
+    const std::size_t cols = std::min<std::size_t>(64, num_edges - e0);
+    for (std::size_t j = 0; j < 64; ++j) tile[j] = j < cols ? plane[e0 + j] : 0;
+    Transpose64x64(tile);
+    for (std::size_t lane = 0; lane < 64; ++lane) {
+      rows[lane * words_per_row + w] = tile[lane];
+    }
+  }
+  return rows.data();
+}
 
 std::uint64_t BlockOps::BlockConditions(std::size_t worker, std::size_t block,
                                         const FlowConditions& conditions,
@@ -170,12 +262,14 @@ std::uint64_t BlockOps::BlockConditions(std::size_t worker, std::size_t block,
     return lanes;
   }
   ReachabilityWorkspace& ws = workspaces_[worker];
-  const std::size_t row_end = std::min(bank_.num_rows(), (block + 1) * 64);
+  const std::uint64_t* rows = UnpackBlockRows(worker, block);
+  const std::size_t words_per_row = PackedRowWords(bank_.num_edges());
   std::uint64_t word = 0;
-  for (std::size_t r = block * 64; r < row_end; ++r) {
-    if ((lanes >> (r & 63) & 1) == 0) continue;
-    if (RowSatisfies(graph_, bank_.Row(r), conditions, ws, src)) {
-      word |= std::uint64_t{1} << (r & 63);
+  for (std::size_t lane = 0; lane < 64; ++lane) {
+    if ((lanes >> lane & 1) == 0) continue;
+    if (RowSatisfies(graph_, rows + lane * words_per_row, conditions, ws,
+                     src)) {
+      word |= std::uint64_t{1} << lane;
     }
   }
   return word;
@@ -196,11 +290,12 @@ void BlockOps::BlockReach(std::size_t worker, std::size_t block,
   }
   ReachabilityWorkspace& ws = workspaces_[worker];
   std::fill(out, out + sinks.size(), 0);
-  const std::size_t row_end = std::min(bank_.num_rows(), (block + 1) * 64);
-  for (std::size_t r = block * 64; r < row_end; ++r) {
-    if ((lanes >> (r & 63) & 1) == 0) continue;
-    const std::uint64_t bit = std::uint64_t{1} << (r & 63);
-    ws.RunPacked(graph_, sources, bank_.Row(r));
+  const std::uint64_t* rows = UnpackBlockRows(worker, block);
+  const std::size_t words_per_row = PackedRowWords(bank_.num_edges());
+  for (std::size_t lane = 0; lane < 64; ++lane) {
+    if ((lanes >> lane & 1) == 0) continue;
+    const std::uint64_t bit = std::uint64_t{1} << lane;
+    ws.RunPacked(graph_, sources, rows + lane * words_per_row);
     for (std::size_t s = 0; s < sinks.size(); ++s) {
       if (ws.IsReached(sinks[s])) out[s] |= bit;
     }
@@ -442,6 +537,7 @@ std::vector<QueryResult> RunQueryPlan(
     });
     set.expired = expired.load();
     for (const std::size_t c : partial) set.survivors += c;
+    if (!set.expired) set.halves = SplitStreams(bank, set.mask.data());
     metrics.rows_scanned->Increment(num_rows);
   }
 
@@ -568,15 +664,20 @@ std::vector<QueryResult> RunQueryPlan(
     metrics.rows_scanned->Increment(num_rows);
   }
 
-  // --- Assemble per-request estimates with chain diagnostics.
+  // --- Assemble per-request estimates from indicator popcounts. Rows are
+  // i.i.d., so a sink's value, binomial MCSE and ESS need only its count
+  // among the survivors; split-R̂ needs the counts in each stream's halves.
   obs::TraceSpan assemble_span("serve/plan/assemble", batch_query_id);
-  const std::size_t num_chains = bank.num_chains();
+  const std::vector<StreamHalf> all_rows = SplitStreams(bank, nullptr);
+  std::vector<HalfCount> half_counts;
   for (const ScanGroup& group : groups) {
-    const std::uint64_t* mask = group.given_index == kUnconditional
-                                    ? nullptr
-                                    : given_sets[group.given_index].mask.data();
+    const bool conditional = group.given_index != kUnconditional;
+    const std::uint64_t* mask =
+        conditional ? given_sets[group.given_index].mask.data() : nullptr;
     const std::size_t survivors =
-        mask == nullptr ? num_rows : given_sets[group.given_index].survivors;
+        conditional ? given_sets[group.given_index].survivors : num_rows;
+    const std::vector<StreamHalf>& halves =
+        conditional ? given_sets[group.given_index].halves : all_rows;
     for (const std::size_t i : group.members) {
       const QueryRequest& request = requests[i];
       if (group.expired || Clock::now() > deadlines[i]) {
@@ -591,23 +692,16 @@ std::vector<QueryResult> RunQueryPlan(
       const auto estimate_column = [&](std::size_t column, NodeId sink) {
         const std::uint64_t* ind =
             group.indicators.data() + column * num_blocks;
-        std::vector<std::vector<double>> chains(num_chains);
-        double sum = 0.0;
-        for (std::size_t r = 0; r < num_rows; ++r) {
-          const std::uint64_t bit = std::uint64_t{1} << (r & 63);
-          if (mask != nullptr && (mask[r >> 6] & bit) == 0) continue;
-          const double draw = (ind[r >> 6] & bit) != 0 ? 1.0 : 0.0;
-          sum += draw;
-          chains[bank.ChainOfRow(r)].push_back(draw);
+        half_counts.clear();
+        for (const StreamHalf& half : halves) {
+          half_counts.push_back(
+              {half.rows, CountRows(ind, mask, half.begin, half.end)});
         }
-        // Chains with no surviving rows carry no draws; drop them so the
-        // diagnostics see only populated sequences.
-        std::erase_if(chains,
-                      [](const std::vector<double>& c) { return c.empty(); });
+        const std::size_t ones = CountRows(ind, mask, 0, num_rows);
         SinkEstimate est;
         est.sink = sink;
-        est.value = sum / static_cast<double>(survivors);
-        est.diagnostics = ComputeChainDiagnostics(chains);
+        est.value = static_cast<double>(ones) / static_cast<double>(survivors);
+        est.diagnostics = BinaryCountDiagnostics(ones, survivors, half_counts);
         return est;
       };
       if (group.joint) {

@@ -35,7 +35,8 @@ namespace infoflow::serve {
 /// W-word plane through one StripWorkspace per pool worker, so one BFS
 /// amortizes over 64·W rows. Without one, W = 1: a pass reads the bank's
 /// edge-major block through one BatchReachabilityWorkspace per worker, or,
-/// when `batch_bfs` is false, replays each packed row through the scalar
+/// when `batch_bfs` is false, unpacks the block into packed rows in a
+/// per-worker scratch and replays each row through the scalar
 /// ReachabilityWorkspace reference (the `--scalar-reachability` path).
 /// Every path yields the same lane masks bit for bit.
 ///
@@ -84,6 +85,10 @@ class BlockOps {
   void BlockReach(std::size_t worker, std::size_t block,
                   const std::vector<NodeId>& sources, std::uint64_t lanes,
                   const std::vector<NodeId>& sinks, std::uint64_t* out);
+  /// Block `block`'s 64 rows as packed rows (graph/reachability.h's
+  /// RunPacked layout) in `worker`'s scratch; lanes past the bank's last
+  /// row unpack as all-inactive rows.
+  const std::uint64_t* UnpackBlockRows(std::size_t worker, std::size_t block);
 
   const DirectedGraph& graph_;
   const BankGeneration& bank_;
@@ -92,6 +97,8 @@ class BlockOps {
   std::vector<BatchReachabilityWorkspace>& batch_workspaces_;
   const StripPlane* strip_plane_;
   std::vector<std::unique_ptr<StripWorkspace>>& strip_workspaces_;
+  /// Per-worker packed-row scratch of the scalar path.
+  std::vector<std::vector<std::uint64_t>> row_scratch_;
 };
 
 /// \brief The skeleton knobs, mirrored from QueryEngineOptions.

@@ -37,10 +37,12 @@ bool WriteAllQuiet(int fd, const std::string& data) {
 }
 
 /// A serialized NDJSON error response for `line`, echoing its request id
-/// when the line parses.
+/// when the line carries one.
 std::string ErrorResponseFor(const std::string& line, const Status& status) {
-  auto request = ParseRequestLine(line);
-  if (!request.ok()) return SerializeParseError(status);
+  auto json = ParseJson(line);
+  if (!json.ok()) return SerializeParseError(status);
+  auto request = ParseRequest(*json);
+  if (!request.ok()) return SerializeParseError(status, &*json);
   QueryResult result;
   result.status = status;
   return SerializeResult(*request, result);
@@ -163,9 +165,7 @@ std::string ProcessRouter::HandleAdminLine(const std::string& line) {
   auto json = ParseJson(line);
   if (!json.ok()) return SerializeParseError(json.status());
   auto request = ParseAdminRequest(*json);
-  if (!request.ok()) {
-    return SerializeAdminError(AdminRequest{}, request.status());
-  }
+  if (!request.ok()) return SerializeParseError(request.status(), &*json);
   JsonValue::Object response;
   response["id"] = request->id;
   response["ok"] = true;

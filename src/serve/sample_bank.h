@@ -1,37 +1,39 @@
 /// \file sample_bank.h
-/// \brief A shared bank of retained MH pseudo-states for amortized queries.
+/// \brief A shared bank of i.i.d. pseudo-states for amortized queries.
 ///
 /// Answering a flow query with a fresh chain pays burn-in δ plus
-/// (δ′+1)·N transitions *per query* (§III-B/D). But the retained states a
-/// chain produces are samples of Pr[x | M] regardless of which flow the
-/// caller later asks about — the estimator of Eq. 5 only replays
-/// reachability over them. A SampleBank therefore materializes the retained
-/// states of a MultiChainSampler once and lets arbitrarily many queries
-/// (end-to-end, community, joint, conditional — see serve/query_engine.h)
-/// reuse them, turning the per-query cost into a per-*bank* cost.
+/// (δ′+1)·N transitions *per query* (§III-B/D). But the estimator of Eq. 5
+/// only replays reachability over draws of Pr[x | M], whichever flow the
+/// caller later asks about. A SampleBank therefore draws those states once
+/// and lets arbitrarily many queries (end-to-end, community, joint,
+/// conditional — see serve/query_engine.h) reuse them, turning the
+/// per-query cost into a per-*bank* cost.
 ///
-/// Storage is one word-packed bit row per retained state (bit e = edge e's
-/// activity, layout of graph/reachability.h's RunPacked), chain-major:
-/// row r belongs to chain r / rows_per_chain, preserving the per-chain
-/// draw order that the convergence diagnostics (stats/convergence.h) need.
-/// A 14k-edge fig6 graph packs a state into 1.75 KB — a 4096-state bank is
-/// ~7 MB where the byte-per-edge PseudoState form would be ~57 MB.
+/// Unconditionally, Eq. 3 makes Pr[x | M] a product of independent edge
+/// Bernoullis, so the bank needs no Markov chain: every row is an exact,
+/// independent draw. Rows are stored once, **edge-major**: they are
+/// grouped into blocks of 64 and, per block, each edge stores one word
+/// whose bit s is the edge's activity in the block's row s — the layout
+/// graph/batch_reachability.h consumes to answer reachability for 64 rows
+/// in a single BFS pass. A fill writes that plane directly: block b draws
+/// every edge's word with BernoulliWord (stats/rng.h) from its own
+/// generator, keyed by (seed, model epoch, refreshes within that epoch,
+/// b) through SampleBank::BlockSeed. The blocks are drawn in parallel on
+/// the bank's pool, and a generation is bit-identical for every pool size;
+/// a daemon restarted on the same evidence redraws the same rows. A
+/// 14k-edge fig6 graph packs 4096 rows into ~7 MB.
 ///
-/// Each generation additionally carries a **transposed, edge-major plane**:
-/// rows are grouped into blocks of 64 and, per block, each edge stores one
-/// word whose bit s is the edge's activity in the block's row s — the
-/// layout graph/batch_reachability.h consumes to answer reachability for
-/// 64 retained states in a single BFS pass. The plane is built at Fill
-/// time by a cache-blocked 64×64 bitset transpose of the packed rows
-/// (graph/bit_transpose.h) and doubles the bank's footprint (the 4096-state
-/// fig6 bank goes from ~7 MB to ~14 MB) — the price of the batch query
-/// path's ~order-of-magnitude speedup.
+/// Rows are also split into K equal, consecutive *row streams* (K =
+/// `BankOptions::chain.num_chains`; stream k holds rows [k·R, (k+1)·R)).
+/// The streams are as independent as the rows; they only give split-R̂
+/// (stats/convergence.h) its sequences, so a served estimate keeps the
+/// same diagnostics shape as the paper's multi-chain sampler.
 ///
 /// Generations: the bank hands out immutable `BankGeneration` objects by
-/// shared_ptr. `Refresh()` advances the chains (burn-in is paid only once,
-/// at Create) and publishes a new generation; readers holding the old one
-/// are never invalidated — the swap is a pointer exchange under a mutex,
-/// and the old rows are freed when the last in-flight reader drops them.
+/// shared_ptr. `Refresh()` draws fresh rows and publishes a new
+/// generation; readers holding the old one are never invalidated — the
+/// swap is a pointer exchange under a mutex, and the old rows are freed
+/// when the last in-flight reader drops them.
 ///
 /// \code
 ///   auto bank = SampleBank::Create(model, options, /*seed=*/42);
@@ -50,21 +52,22 @@
 
 #include "core/icm.h"
 #include "core/multi_chain.h"
-#include "graph/reachability.h"
 #include "graph/strip_plane.h"
 #include "obs/metrics.h"
 #include "util/status.h"
+#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace infoflow::serve {
 
-/// \brief Sizing and chain tuning for a SampleBank.
+/// \brief Sizing and fill parallelism for a SampleBank.
 struct BankOptions {
-  /// Requested retained states per generation. Rounded up to a whole number
-  /// per chain (MultiChainSampler's ⌈N/K⌉ contract), so the realized row
-  /// count is num_chains·⌈num_states/num_chains⌉.
+  /// Requested rows per generation. Rounded up to a whole number per row
+  /// stream, so the realized row count is num_chains·⌈num_states/num_chains⌉.
   std::size_t num_states = 4096;
-  /// Chain tuning (K, threads, burn-in δ, thinning δ′).
+  /// `num_chains` is the row-stream count K; `num_threads` sizes the fill
+  /// pool (0 → min(K, hardware concurrency)) and never changes the rows.
+  /// The rows are exact draws, so `mh` (burn-in, thinning) is ignored.
   MultiChainOptions chain;
 
   /// Validates the option values.
@@ -82,27 +85,14 @@ class BankGeneration {
   /// Id of the model epoch the rows were drawn from (1 = the model the
   /// bank was created with; bumped by Rebuild on streaming model updates).
   std::uint64_t model_epoch() const { return model_epoch_; }
-  /// Number of retained-state rows.
+  /// Number of rows.
   std::size_t num_rows() const { return num_rows_; }
   /// Edge count of the model the rows were drawn from.
   std::size_t num_edges() const { return num_edges_; }
-  /// 64-bit words per row: PackedRowWords(num_edges()).
-  std::size_t words_per_row() const { return words_per_row_; }
-  /// Number of chains the rows are striped over.
+  /// Number of row streams the rows are split into.
   std::size_t num_chains() const { return num_chains_; }
-  /// Rows per chain (num_rows / num_chains; chains are equal-length).
+  /// Rows per stream (num_rows / num_chains; streams are equal-length).
   std::size_t rows_per_chain() const { return rows_per_chain_; }
-
-  /// Packed edge-activity row `r` (words_per_row() words) — the form
-  /// ReachabilityWorkspace::RunPacked consumes directly.
-  const std::uint64_t* Row(std::size_t r) const {
-    return words_.data() + r * words_per_row_;
-  }
-
-  /// Activity of edge `e` in row `r`.
-  bool EdgeActive(std::size_t r, EdgeId e) const {
-    return PackedEdgeActive(Row(r), e);
-  }
 
   /// Number of 64-row sample blocks: ⌈num_rows / 64⌉. Block b covers rows
   /// [64·b, min(64·(b+1), num_rows)).
@@ -130,7 +120,7 @@ class BankGeneration {
   /// StripReachabilityWorkspace pass replays 64·width rows.
   ///
   /// Built lazily on first use by interleaving the per-block edge-major
-  /// plane (a word gather — no new bit transpose) and cached per width for
+  /// plane (a word gather — no bit transpose) and cached per width for
   /// the generation's lifetime: the plane is immutable after publish and
   /// handed out by shared_ptr swap under an internal mutex, so every query
   /// engine sharing this generation re-uses one plane instead of
@@ -138,9 +128,6 @@ class BankGeneration {
   /// concurrent Refresh generations (same RCU discipline as the generation
   /// itself). Thread-safe.
   std::shared_ptr<const StripPlane> AcquireStripPlane(unsigned width) const;
-
-  /// The chain row `r` was drawn by (rows are chain-major).
-  std::size_t ChainOfRow(std::size_t r) const { return r / rows_per_chain_; }
 
   /// \brief The model the rows were drawn from — the generation-consistent
   /// snapshot the analytic query backend computes against (answers from one
@@ -161,18 +148,12 @@ class BankGeneration {
   std::uint64_t id_;
   std::uint64_t model_epoch_;
   std::size_t num_edges_;
-  std::size_t words_per_row_;
   std::size_t num_chains_;
   std::size_t rows_per_chain_;
   std::size_t num_rows_;
-  /// Transposes words_ into edge_major_ (called once, at fill time, before
-  /// the generation is published).
-  void BuildEdgeMajor();
 
   /// The epoch's model, shared with the owning bank (see model()).
   std::shared_ptr<const PointIcm> model_ptr_;
-  /// Row-major packed bits: words_[r·words_per_row + w].
-  std::vector<std::uint64_t> words_;
   /// Edge-major packed bits: edge_major_[b·num_edges + e] bit s = edge e's
   /// activity in row 64·b + s.
   std::vector<std::uint64_t> edge_major_;
@@ -185,41 +166,49 @@ class BankGeneration {
   mutable std::shared_ptr<const StripPlane> strip_planes_[2];
 };
 
-/// \brief Owner of the chains and the current generation.
+/// \brief Owner of the model, the fill pool and the current generation.
 ///
 /// Thread-safety: `Acquire()` and `GenerationAgeSeconds()` may be called
-/// from any thread; `Refresh()` must be driven by one thread at a time (it
-/// advances the stateful chains — the serve daemon dedicates a background
-/// thread to it).
+/// from any thread; `Refresh()` and `Rebuild()` serialize against each
+/// other (the serve daemon drives them from its refresh and drift-rebuild
+/// threads).
 class SampleBank {
  public:
-  /// \brief Builds the chains, pays burn-in, and fills generation 1.
+  /// \brief Fills generation 1 from `model`.
   /// Unconditional by design: rows sample Pr[x | M] (Eq. 3) so conditional
   /// queries can be answered by filtering rows with I(x, C) (Eq. 7/8)
   /// instead of binding the bank to one condition set.
   static Result<SampleBank> Create(PointIcm model, BankOptions options,
                                    std::uint64_t seed);
 
+  /// The seed of block `block`'s generator in the fill that follows
+  /// `refresh` Refresh() calls on model epoch `model_epoch` of a bank
+  /// created with `seed`: MultiChainSampler::DeriveChainSeed (a SplitMix64
+  /// finalizer) folded over the epoch, the refresh count and the block.
+  /// Exposed so tests can pin the contract.
+  static std::uint64_t BlockSeed(std::uint64_t seed, std::uint64_t model_epoch,
+                                 std::uint64_t refresh, std::size_t block);
+
   /// The current generation; never null, never mutated after publish.
   std::shared_ptr<const BankGeneration> Acquire() const;
 
-  /// \brief Draws a fresh set of rows from the (already burned-in) chains
-  /// and atomically publishes it as the next generation.
+  /// \brief Draws a fresh set of rows from the current model and
+  /// atomically publishes it as the next generation.
   void Refresh();
 
   /// \brief Replaces the model the rows sample from (a streamed
-  /// ModelEpoch): builds fresh chains seeded with
-  /// `MultiChainSampler::DeriveChainSeed(create_seed, model_epoch)` — so a
-  /// daemon restarted on the same evidence re-derives the same chains —
-  /// pays burn-in, and publishes the next generation tagged with
-  /// `model_epoch`. In-flight readers of older generations are never
-  /// blocked or invalidated. Serialized against Refresh().
+  /// ModelEpoch) and publishes the next generation, tagged with
+  /// `model_epoch`, drawn from it. The refresh count restarts at 0, so the
+  /// rows depend only on (seed, model_epoch) — a daemon restarted on the
+  /// same evidence redraws the same rows. In-flight readers of older
+  /// generations are never blocked or invalidated. Serialized against
+  /// Refresh().
   Status Rebuild(PointIcm model, std::uint64_t model_epoch);
 
-  /// The model the current chains sample from.
+  /// The model the rows are currently drawn from.
   const PointIcm& model() const { return *model_; }
 
-  /// Model-epoch id of the current chains (1 until the first Rebuild).
+  /// Model-epoch id of the current model (1 until the first Rebuild).
   std::uint64_t model_epoch() const;
 
   /// Seconds since the current generation was published.
@@ -234,31 +223,35 @@ class SampleBank {
   std::size_t rows_per_generation() const;
 
  private:
-  SampleBank(std::unique_ptr<MultiChainSampler> engine,
-             std::shared_ptr<const DirectedGraph> graph, BankOptions options);
+  SampleBank(std::shared_ptr<const DirectedGraph> graph, BankOptions options);
 
-  /// Streams one generation's rows out of the chains (parallel across
-  /// chains; each chain packs its own disjoint row range).
-  std::shared_ptr<const BankGeneration> Fill(std::uint64_t id,
-                                             std::uint64_t model_epoch);
+  /// Draws one generation's plane from the current model, 64-row blocks
+  /// in parallel on `pool_`.
+  std::shared_ptr<const BankGeneration> Fill(std::uint64_t id);
 
-  std::unique_ptr<MultiChainSampler> engine_;
+  /// Publishes `next` as the current generation.
+  void Publish(std::shared_ptr<const BankGeneration> next);
+
   std::shared_ptr<const DirectedGraph> graph_;
   BankOptions options_;
-  /// The model engine_'s chains currently target (kept for drift diffs and
-  /// rebuild validation); optional only because PointIcm lacks a default
+  /// The model the rows are drawn from (kept for drift diffs and rebuild
+  /// validation); optional only because PointIcm lacks a default
   /// constructor — set at Create, never empty afterwards.
   std::optional<PointIcm> model_;
   /// The same model as a shared snapshot, stamped onto every generation
-  /// Fill publishes (guarded by engine_mutex_ like model_).
+  /// Fill publishes (guarded by fill_mutex_ like model_).
   std::shared_ptr<const PointIcm> model_shared_;
-  /// The Create seed; Rebuild derives per-epoch chain seeds from it.
+  /// The Create seed; every block seed derives from it.
   std::uint64_t base_seed_ = 0;
-  /// Model epoch of the current chains.
+  /// Model epoch of the current model.
   std::uint64_t model_epoch_ = 1;
-  /// Serializes chain mutation (Refresh vs Rebuild race from the serve
-  /// daemon's refresh and drift-rebuild threads).
-  std::unique_ptr<std::mutex> engine_mutex_;
+  /// Refresh() calls since the current model was installed.
+  std::uint64_t refreshes_ = 0;
+  /// Draws the blocks of a fill.
+  std::unique_ptr<ThreadPool> pool_;
+  /// Serializes fills (Refresh vs Rebuild race from the serve daemon's
+  /// refresh and drift-rebuild threads).
+  std::unique_ptr<std::mutex> fill_mutex_;
   /// Guards current_/age_; unique_ptr keeps the bank movable (Result<T>).
   std::unique_ptr<std::mutex> mutex_;
   std::shared_ptr<const BankGeneration> current_;
@@ -272,7 +265,6 @@ class SampleBank {
   obs::Counter* metric_refreshes_;
   obs::Counter* metric_rebuilds_;
   obs::Histogram* metric_fill_ms_;
-  obs::Histogram* metric_transpose_ms_;
 };
 
 }  // namespace infoflow::serve

@@ -38,7 +38,7 @@ struct Server::Background {
 
   /// Drift-rebuild worker state: the epoch callback queues the newest
   /// epoch (later epochs supersede queued ones — rebuilding onto stale
-  /// models is wasted burn-in); the worker applies it off-thread.
+  /// models is a wasted fill); the worker applies it off-thread.
   std::thread rebuild_thread;
   std::mutex rebuild_mutex;
   std::condition_variable rebuild_cv;
@@ -160,15 +160,14 @@ Status Server::ServeFd(int in_fd, int out_fd) {
         metric_admin_requests_->Increment();
         auto admin = ParseAdminRequest(*json);
         responses[j] = admin.ok() ? HandleAdmin(*admin)
-                                  : SerializeAdminError(AdminRequest{},
-                                                        admin.status());
+                                  : SerializeParseError(admin.status(), &*json);
         continue;
       }
       if (IsTopkRequest(*json)) {
         metric_topk_requests_->Increment();
         auto topk = ParseTopkRequest(*json);
         if (!topk.ok()) {
-          responses[j] = SerializeParseError(topk.status());
+          responses[j] = SerializeParseError(topk.status(), &*json);
           continue;
         }
         // Same boundary discipline as queries: a request arriving without
@@ -184,7 +183,7 @@ Status Server::ServeFd(int in_fd, int out_fd) {
         // is asynchronous).
         auto ingest = ParseIngestRequest(*json);
         if (!ingest.ok()) {
-          responses[j] = SerializeParseError(ingest.status());
+          responses[j] = SerializeParseError(ingest.status(), &*json);
           continue;
         }
         metric_ingest_lines_->Increment();
@@ -204,7 +203,7 @@ Status Server::ServeFd(int in_fd, int out_fd) {
       }
       auto request = ParseRequest(*json);
       if (!request.ok()) {
-        responses[j] = SerializeParseError(request.status());
+        responses[j] = SerializeParseError(request.status(), &*json);
         continue;
       }
       // Queries arriving without an id (the normal case — a --shard-procs

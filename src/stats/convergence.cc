@@ -183,6 +183,64 @@ ChainDiagnostics ComputeChainDiagnostics(
   return d;
 }
 
+ChainDiagnostics BinaryCountDiagnostics(std::size_t ones, std::size_t total,
+                                        const std::vector<HalfCount>& halves) {
+  IF_CHECK(total > 0) << "diagnostics need at least one draw";
+  IF_CHECK(ones <= total) << ones << " ones among " << total << " draws";
+  IF_CHECK(halves.size() % 2 == 0) << "halves come in pairs per stream";
+  ChainDiagnostics d;
+  const double n = static_cast<double>(total);
+  d.mean = static_cast<double>(ones) / n;
+  d.variance = d.mean * (1.0 - d.mean);
+  d.ess = n;
+  d.mcse = std::sqrt(d.variance / n);
+  std::size_t min_half = std::numeric_limits<std::size_t>::max();
+  for (std::size_t k = 0; k < halves.size(); k += 2) {
+    if (halves[k].draws + halves[k + 1].draws == 0) continue;
+    ++d.num_chains;
+    min_half = std::min(min_half, halves[k].draws);
+  }
+  d.samples_per_chain = d.num_chains > 0 ? 2 * min_half : 0;
+
+  // The split-R̂ of ComputeChainDiagnostics, with each half's mean and
+  // unbiased variance in closed form: c ones among l draws have mean c/l
+  // and variance c(l−c)/(l(l−1)).
+  const auto usable = [](const HalfCount& h) { return h.draws >= 2; };
+  const auto mean_of = [](const HalfCount& h) {
+    return static_cast<double>(h.ones) / static_cast<double>(h.draws);
+  };
+  double md = 0.0;
+  double draws = 0.0;
+  double grand = 0.0;
+  double w = 0.0;
+  for (const HalfCount& h : halves) {
+    if (!usable(h)) continue;
+    const double l = static_cast<double>(h.draws);
+    const double c = static_cast<double>(h.ones);
+    md += 1.0;
+    draws += l;
+    grand += mean_of(h);
+    w += c * (l - c) / (l * (l - 1.0));
+  }
+  if (md < 2.0) return d;
+  const double ld = draws / md;
+  grand /= md;
+  w /= md;
+  double b_over_l = 0.0;
+  for (const HalfCount& h : halves) {
+    if (usable(h)) b_over_l += (mean_of(h) - grand) * (mean_of(h) - grand);
+  }
+  b_over_l /= (md - 1.0);
+  const double var_plus = (ld - 1.0) / ld * w + b_over_l;
+  const double tiny = 1e-20 * (grand * grand + 1.0);
+  if (w <= tiny) {
+    d.rhat = b_over_l <= tiny ? 1.0 : std::numeric_limits<double>::infinity();
+    return d;
+  }
+  d.rhat = std::sqrt(var_plus / w);
+  return d;
+}
+
 double SplitChainRhat(const std::vector<std::vector<double>>& chains) {
   return ComputeChainDiagnostics(chains).rhat;
 }

@@ -70,6 +70,30 @@ struct ChainDiagnostics {
 ChainDiagnostics ComputeChainDiagnostics(
     const std::vector<std::vector<double>>& chains);
 
+/// \brief One split-R̂ half of a stream of 0/1 draws, by its counts alone.
+struct HalfCount {
+  /// Draws in the half.
+  std::size_t draws = 0;
+  /// Draws equal to 1.
+  std::size_t ones = 0;
+};
+
+/// \brief Diagnostics of `total` independent 0/1 draws, `ones` of them 1,
+/// from counts alone.
+///
+/// For i.i.d. draws the estimator needs no autocorrelation scan: mean =
+/// p̂ = ones/total, variance = p̂(1−p̂), ESS = total and MCSE =
+/// sqrt(p̂(1−p̂)/total), the binomial standard error. R̂ is
+/// ComputeChainDiagnostics's split-R̂ over `halves` — two entries per
+/// stream, its first half then its second. When every half holds the same
+/// number of draws it equals SplitChainRhat of the streams (truncated to
+/// an even length and split by draw order). Halves of unequal size enter
+/// with their own sizes; halves of fewer than 2 draws carry no variance
+/// and are skipped, and fewer than 2 usable halves report R̂ = 1.
+/// `num_chains` counts the streams with at least one draw.
+ChainDiagnostics BinaryCountDiagnostics(std::size_t ones, std::size_t total,
+                                        const std::vector<HalfCount>& halves);
+
 /// \brief Split-chain Gelman–Rubin R̂ alone (see ComputeChainDiagnostics).
 double SplitChainRhat(const std::vector<std::vector<double>>& chains);
 

@@ -1,5 +1,6 @@
 #include "stats/rng.h"
 
+#include <bit>
 #include <cmath>
 
 namespace infoflow {
@@ -185,5 +186,23 @@ std::size_t Rng::Categorical(const std::vector<double>& weights) {
 }
 
 Rng Rng::Split() { return Rng(NextU64() ^ 0xa5a5a5a55a5a5a5aULL); }
+
+std::uint64_t BernoulliWord(double p, Rng& rng) {
+  if (p <= 0.0) return 0;
+  if (p >= 1.0) return ~std::uint64_t{0};
+  // p within 2⁻³³ of 1 rounds to 2³², which does not fit the 32-bit
+  // expansion; it is 1 to the expansion's precision.
+  const auto scaled = static_cast<std::uint64_t>(
+      std::llround(std::ldexp(p, 32)));
+  if (scaled >> 32 != 0) return ~std::uint64_t{0};
+  const auto m = static_cast<std::uint32_t>(scaled);
+  if (m == 0) return 0;
+  std::uint64_t acc = 0;
+  for (int i = std::countr_zero(m); i < 32; ++i) {
+    const std::uint64_t r = rng.NextU64();
+    acc = ((m >> i) & 1) != 0 ? (acc | r) : (acc & r);
+  }
+  return acc;
+}
 
 }  // namespace infoflow

@@ -83,4 +83,15 @@ class Rng {
   bool has_cached_normal_ = false;
 };
 
+/// \brief 64 independent Bernoulli(p) draws packed into one word.
+///
+/// Uses the binary-expansion composition: with p = 0.b₁b₂…b₃₂, processing
+/// the expansion from its least significant bit upward with
+/// `acc = bᵢ ? (acc | r) : (acc & r)` over fresh random words r leaves each
+/// bit of `acc` set with probability p (to 2⁻³² precision) — ≤ 32 RNG words
+/// for 64 draws instead of 64 uniforms, and usually far fewer since the
+/// loop starts at the expansion's lowest set bit. p ≤ 0 and p ≥ 1 draw
+/// nothing from `rng`.
+std::uint64_t BernoulliWord(double p, Rng& rng);
+
 }  // namespace infoflow

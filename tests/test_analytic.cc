@@ -963,12 +963,10 @@ PointIcm DenseModel(std::uint64_t seed, NodeId nodes, EdgeId edges) {
 }
 
 SampleBank MakeBank(const PointIcm& model, std::size_t states,
-                    std::uint64_t seed = 21, std::size_t thinning = 4) {
+                    std::uint64_t seed = 21) {
   BankOptions options;
   options.num_states = states;
   options.chain.num_chains = 4;
-  options.chain.mh.burn_in = 1200;
-  options.chain.mh.thinning = thinning;
   auto bank = SampleBank::Create(model, options, seed);
   EXPECT_TRUE(bank.ok()) << bank.status();
   return std::move(bank).ValueOrDie();
@@ -1221,12 +1219,11 @@ TEST(BackendDispatcher, AllAnalyticBatchSkipsTheBankPlanAndTimesEachAnswer) {
 // --------------------------------------------- randomized differential
 
 TEST(BackendDifferential, AnalyticWithin3McseOfBankReplayOnTrees) {
-  // The ISSUE's acceptance bar: on tree-like models every analytic answer
-  // agrees with the MH + bank replay estimate within 3×MCSE (plus a hair
-  // for MCSE's own noise).
+  // On tree-like models every analytic answer agrees with the bank replay
+  // estimate within 3×MCSE (plus a hair for MCSE's own noise).
   for (std::uint64_t trial = 0; trial < 4; ++trial) {
     const PointIcm model = TreeModel(100 + trial, 30);
-    SampleBank bank = MakeBank(model, 1024, 1000 + trial, /*thinning=*/16);
+    SampleBank bank = MakeBank(model, 1024, 1000 + trial);
     QueryEngine engine = MakeEngine(bank);
     const auto generation = bank.Acquire();
     Rng pick(200 + trial);
@@ -1251,6 +1248,56 @@ TEST(BackendDifferential, AnalyticWithin3McseOfBankReplayOnTrees) {
           << "trial " << trial << " sink " << requests[i].sinks[0];
     }
   }
+}
+
+TEST(BackendDifferential, BankMcseIsCalibratedAgainstExactTreeAnswers) {
+  // Bank rows are i.i.d., so a bank estimate's error over its reported
+  // binomial MCSE is ~N(0, 1) across independent banks. 48 banks of 256
+  // rows (tree-auto's bank size) on one tree, every sink whose exact
+  // analytic probability lies in [0.1, 0.9]: the z-scores' SD must be
+  // within [0.8, 1.25].
+  const PointIcm model = TreeModel(500, 60);
+  const NodeId n = model.graph().num_nodes();
+  QueryRequest exact_request;
+  exact_request.kind = QueryKind::kCommunity;
+  exact_request.sources = {0};
+  for (NodeId v = 1; v < n; ++v) exact_request.sinks.push_back(v);
+  exact_request.backend = QueryBackend::kAnalytic;
+  SampleBank first = MakeBank(model, 256, 0);
+  QueryEngine engine = MakeEngine(first);
+  const auto exact = engine.AnswerBatch(*first.Acquire(), {exact_request});
+  ASSERT_TRUE(exact[0].status.ok()) << exact[0].status;
+  QueryRequest bank_request = exact_request;
+  bank_request.sinks.clear();
+  std::vector<double> truth;
+  for (const SinkEstimate& est : exact[0].estimates) {
+    if (est.value < 0.1 || est.value > 0.9) continue;
+    bank_request.sinks.push_back(est.sink);
+    truth.push_back(est.value);
+  }
+  ASSERT_GE(truth.size(), 8u);
+  bank_request.backend = QueryBackend::kBank;
+
+  double sum = 0.0;
+  double sum_sq = 0.0;
+  double count = 0.0;
+  for (std::uint64_t seed = 0; seed < 48; ++seed) {
+    SampleBank bank = MakeBank(model, 256, 7000 + seed);
+    const auto results = engine.AnswerBatch(*bank.Acquire(), {bank_request});
+    ASSERT_TRUE(results[0].status.ok()) << results[0].status;
+    for (std::size_t j = 0; j < truth.size(); ++j) {
+      const SinkEstimate& est = results[0].estimates[j];
+      ASSERT_GT(est.diagnostics.mcse, 0.0);
+      const double z = (est.value - truth[j]) / est.diagnostics.mcse;
+      sum += z;
+      sum_sq += z * z;
+      count += 1.0;
+    }
+  }
+  const double mean = sum / count;
+  const double sd = std::sqrt((sum_sq - count * mean * mean) / (count - 1.0));
+  EXPECT_GE(sd, 0.8) << truth.size() << " sinks";
+  EXPECT_LE(sd, 1.25) << truth.size() << " sinks";
 }
 
 TEST(BackendDifferential, LoopyFallbackWithinItsReportedErrorBudget) {

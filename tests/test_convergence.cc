@@ -180,5 +180,89 @@ TEST(Convergence, ToStringMentionsAllThreeStatistics) {
   EXPECT_NE(s.find("MCSE="), std::string::npos);
 }
 
+/// Counts of `chains` as BinaryCountDiagnostics takes them: each chain
+/// truncated to an even length and split in half, as ComputeChainDiagnostics
+/// splits it.
+std::vector<HalfCount> Halves(const std::vector<std::vector<double>>& chains) {
+  std::vector<HalfCount> halves;
+  for (const auto& c : chains) {
+    const std::size_t h = c.size() / 2;
+    for (std::size_t part = 0; part < 2; ++part) {
+      HalfCount half{h, 0};
+      for (std::size_t i = part * h; i < (part + 1) * h; ++i) {
+        if (c[i] != 0.0) ++half.ones;
+      }
+      halves.push_back(half);
+    }
+  }
+  return halves;
+}
+
+TEST(Convergence, BinaryCountsMatchChainDiagnosticsOnEqualStreams) {
+  // Independent 0/1 streams of equal (even and odd) length, some mixing
+  // and some with one stream shifted: the count-only diagnostics give the
+  // pooled value of the draws, the binomial MCSE and ESS, and the split-R̂
+  // of ComputeChainDiagnostics.
+  Rng rng(5);
+  for (const std::size_t len : {4u, 9u, 64u, 401u}) {
+    for (const double shift : {0.0, 0.3}) {
+      std::vector<std::vector<double>> chains(4);
+      std::size_t ones = 0;
+      for (std::size_t k = 0; k < chains.size(); ++k) {
+        const double p = 0.35 + (k == 0 ? shift : 0.0);
+        for (std::size_t i = 0; i < len; ++i) {
+          chains[k].push_back(rng.Bernoulli(p) ? 1.0 : 0.0);
+          if (chains[k].back() != 0.0) ++ones;
+        }
+      }
+      const std::size_t total = 4 * len;
+      const ChainDiagnostics counted =
+          BinaryCountDiagnostics(ones, total, Halves(chains));
+      const ChainDiagnostics reference = ComputeChainDiagnostics(chains);
+      double sum = 0.0;
+      for (const auto& c : chains) {
+        for (const double d : c) sum += d;
+      }
+      EXPECT_EQ(counted.mean, sum / static_cast<double>(total)) << len;
+      EXPECT_EQ(counted.ess, static_cast<double>(total));
+      EXPECT_DOUBLE_EQ(counted.mcse,
+                       std::sqrt(counted.mean * (1.0 - counted.mean) /
+                                 static_cast<double>(total)));
+      EXPECT_NEAR(counted.rhat, reference.rhat, 1e-12)
+          << "len " << len << " shift " << shift;
+      EXPECT_NEAR(counted.rhat, SplitChainRhat(chains), 1e-12);
+      EXPECT_EQ(counted.num_chains, 4u);
+      EXPECT_EQ(counted.samples_per_chain, reference.samples_per_chain);
+      if (len % 2 == 0) {
+        EXPECT_NEAR(counted.mean, reference.mean, 1e-15);
+      }
+    }
+  }
+}
+
+TEST(Convergence, BinaryCountsHandleDegenerateHalves) {
+  // All zeros: no variance anywhere, R̂ = 1 and MCSE = 0.
+  const ChainDiagnostics zeros =
+      BinaryCountDiagnostics(0, 40, {{10, 0}, {10, 0}, {10, 0}, {10, 0}});
+  EXPECT_EQ(zeros.rhat, 1.0);
+  EXPECT_EQ(zeros.mcse, 0.0);
+  // Halves constant but disagreeing: maximal non-convergence.
+  const ChainDiagnostics split =
+      BinaryCountDiagnostics(20, 40, {{10, 10}, {10, 10}, {10, 0}, {10, 0}});
+  EXPECT_TRUE(std::isinf(split.rhat));
+  // Halves of fewer than 2 draws carry no split information; a stream
+  // with no draws at all is not counted.
+  const ChainDiagnostics thin =
+      BinaryCountDiagnostics(1, 3, {{1, 1}, {1, 0}, {0, 0}, {0, 0}});
+  EXPECT_EQ(thin.rhat, 1.0);
+  EXPECT_EQ(thin.num_chains, 1u);
+  EXPECT_DOUBLE_EQ(thin.mean, 1.0 / 3.0);
+  // Unequal halves enter with their own sizes and stay finite.
+  const ChainDiagnostics unequal =
+      BinaryCountDiagnostics(9, 30, {{5, 2}, {5, 1}, {10, 3}, {10, 3}});
+  EXPECT_TRUE(std::isfinite(unequal.rhat));
+  EXPECT_GT(unequal.rhat, 0.0);
+}
+
 }  // namespace
 }  // namespace infoflow

@@ -81,6 +81,40 @@ TEST(Rng, BernoulliFrequency) {
   EXPECT_NEAR(static_cast<double>(hits) / n, 0.3, 0.01);
 }
 
+TEST(Rng, BernoulliWordLaneFrequencies) {
+  // Every lane of a BernoulliWord fires with probability p, including p
+  // with a long binary expansion and p near 0 or 1.
+  Rng rng(4);
+  for (const double p : {0.3, 0.02, 0.97, 1.0 / 3.0}) {
+    std::uint64_t lane_hits[64] = {};
+    const int words = 20000;
+    for (int i = 0; i < words; ++i) {
+      const std::uint64_t w = BernoulliWord(p, rng);
+      for (int l = 0; l < 64; ++l) lane_hits[l] += (w >> l) & 1;
+    }
+    double total = 0.0;
+    for (const std::uint64_t h : lane_hits) total += static_cast<double>(h);
+    EXPECT_NEAR(total / (64.0 * words), p, 0.003) << p;
+    for (const std::uint64_t h : lane_hits) {
+      EXPECT_NEAR(static_cast<double>(h) / words, p, 0.02) << p;
+    }
+  }
+}
+
+TEST(Rng, BernoulliWordEdgeProbabilities) {
+  Rng rng(5);
+  Rng untouched(5);
+  EXPECT_EQ(BernoulliWord(0.0, rng), 0u);
+  EXPECT_EQ(BernoulliWord(-0.5, rng), 0u);
+  EXPECT_EQ(BernoulliWord(1.0, rng), ~std::uint64_t{0});
+  EXPECT_EQ(BernoulliWord(1e-12, rng), 0u);
+  // p within 2^-33 of 1 is 1 at the expansion's 32-bit precision; it must
+  // not wrap to an always-inactive edge.
+  EXPECT_EQ(BernoulliWord(1.0 - 1e-12, rng), ~std::uint64_t{0});
+  // None of these draws from the generator.
+  EXPECT_EQ(rng.NextU64(), untouched.NextU64());
+}
+
 TEST(Rng, NormalMoments) {
   Rng rng(4);
   RunningStats stats;

@@ -51,8 +51,6 @@ BankOptions FastBank(std::size_t states, std::size_t chains = 4) {
   BankOptions options;
   options.num_states = states;
   options.chain.num_chains = chains;
-  options.chain.mh.burn_in = 1200;
-  options.chain.mh.thinning = 4;
   return options;
 }
 

@@ -39,21 +39,17 @@ PointIcm SmallRandomModel(std::uint64_t seed, NodeId nodes, EdgeId edges) {
   return PointIcm(g, probs);
 }
 
-serve::BankOptions FastBank(std::size_t states, std::size_t chains = 4,
-                            std::size_t thinning = 4) {
+serve::BankOptions FastBank(std::size_t states, std::size_t chains = 4) {
   serve::BankOptions options;
   options.num_states = states;
   options.chain.num_chains = chains;
-  options.chain.mh.burn_in = 1200;
-  options.chain.mh.thinning = thinning;
   return options;
 }
 
 serve::SampleBank MakeBank(const PointIcm& model, std::size_t states,
-                           std::uint64_t seed = 21, std::size_t chains = 4,
-                           std::size_t thinning = 4) {
-  auto bank = serve::SampleBank::Create(
-      model, FastBank(states, chains, thinning), seed);
+                           std::uint64_t seed = 21, std::size_t chains = 4) {
+  auto bank =
+      serve::SampleBank::Create(model, FastBank(states, chains), seed);
   EXPECT_TRUE(bank.ok()) << bank.status();
   return std::move(bank).ValueOrDie();
 }
@@ -185,16 +181,18 @@ TEST(RrSketchSet, UnconditionedAccountingAndLaneHygiene) {
             static_cast<std::uint64_t>(generation->num_rows()) * n);
   EXPECT_EQ(sketches->num_groups(), n * generation->num_blocks());
 
-  // Every posting's lanes stay inside its block's surviving-lane mask, and
+  // Every posting's lanes stay inside its block's surviving-lane mask,
   // every node covers its own target's sketches in *every* lane (u reaches
-  // u in all pseudo-states).
+  // u in all pseudo-states), and Coverage(u) counts all of u's lanes.
   const std::size_t blocks = generation->num_blocks();
   for (NodeId u = 0; u < n; ++u) {
     std::uint64_t own_sketches = 0;
+    std::uint64_t all_sketches = 0;
     for (const RrPosting& p : sketches->Postings(u)) {
       const std::size_t block = p.group % blocks;
       EXPECT_EQ(p.lanes & ~generation->BlockLaneMask(block), 0u);
       EXPECT_NE(p.lanes, 0u);
+      all_sketches += static_cast<std::uint64_t>(std::popcount(p.lanes));
       if (p.group / blocks == u) {
         own_sketches +=
             static_cast<std::uint64_t>(std::popcount(p.lanes));
@@ -202,6 +200,7 @@ TEST(RrSketchSet, UnconditionedAccountingAndLaneHygiene) {
     }
     EXPECT_EQ(own_sketches, generation->num_rows())
         << "node " << u << " must cover its own target in every row";
+    EXPECT_EQ(sketches->Coverage(u), all_sketches) << "node " << u;
   }
 }
 
@@ -209,8 +208,7 @@ TEST(RrSketchSet, RaggedTailRowsAreMaskedNotPadded) {
   const PointIcm model = SmallRandomModel(9, 10, 18);
   // 500 states over 3 chains → 501 rows: seven full 64-lane blocks plus a
   // 53-lane tail whose dead lanes must never appear in a posting.
-  serve::SampleBank bank = MakeBank(model, 500, /*seed=*/3, /*chains=*/3,
-                                    /*thinning=*/16);
+  serve::SampleBank bank = MakeBank(model, 500, /*seed=*/3, /*chains=*/3);
   const auto generation = bank.Acquire();
   ASSERT_EQ(generation->num_rows(), 501u);
   ASSERT_EQ(generation->num_blocks(), 8u);
@@ -414,6 +412,52 @@ TEST(SeedSelector, MatchesMonteCarloCelfWithinThreeMcse) {
       << monte_carlo->seeds[1];
   // And the sketch estimate itself is calibrated against its own seeds.
   EXPECT_NEAR(banked->spread, exact_banked, 3.0 * banked->mcse);
+}
+
+TEST(SeedSelector, SpreadMcseMatchesTheSpreadAcrossBanks) {
+  // The reported MCSE must describe how far the spread of a fixed seed set
+  // moves between independent banks. With `candidates` set to exactly k
+  // nodes every bank scores the same set; over 48 banks of 512 rows on an
+  // ingest-topk-like graph (preferential attachment, p ~ U(0.02, 0.3)),
+  // the spread's SD across banks must lie within [0.7, 1.4]× the median
+  // reported MCSE at k = 1 and k = 5. A binomial MCSE over all
+  // targets × rows, as if one row's sketches were independent, reads
+  // several times too small here.
+  Rng rng(404);
+  auto g = std::make_shared<const DirectedGraph>(
+      PreferentialAttachmentGraph(300, 2, 0.9, rng));
+  std::vector<double> probs(g->num_edges());
+  for (double& p : probs) p = rng.Uniform(0.02, 0.3);
+  const PointIcm model(g, probs);
+  const ReversedGraphView view = ReversedGraphView::Build(g);
+  for (const std::size_t k : {1u, 5u}) {
+    SeedMaxOptions options;
+    options.num_seeds = k;
+    for (NodeId v = 0; v < k; ++v) options.candidates.push_back(v);
+    std::vector<double> spreads;
+    std::vector<double> mcses;
+    for (std::uint64_t seed = 0; seed < 48; ++seed) {
+      serve::SampleBank bank = MakeBank(model, 512, 900 + seed);
+      auto sketches = RrSketchSet::Build(view, *bank.Acquire());
+      ASSERT_TRUE(sketches.ok()) << sketches.status();
+      auto result = SelectSeeds(*sketches, options);
+      ASSERT_TRUE(result.ok()) << result.status();
+      spreads.push_back(result->spread);
+      mcses.push_back(result->mcse);
+    }
+    double mean = 0.0;
+    for (const double x : spreads) mean += x;
+    mean /= static_cast<double>(spreads.size());
+    double ss = 0.0;
+    for (const double x : spreads) ss += (x - mean) * (x - mean);
+    const double sd = std::sqrt(ss / static_cast<double>(spreads.size() - 1));
+    std::sort(mcses.begin(), mcses.end());
+    const double median_mcse =
+        0.5 * (mcses[mcses.size() / 2 - 1] + mcses[mcses.size() / 2]);
+    ASSERT_GT(median_mcse, 0.0);
+    EXPECT_GE(sd / median_mcse, 0.7) << "k = " << k << ": SD " << sd;
+    EXPECT_LE(sd / median_mcse, 1.4) << "k = " << k << ": SD " << sd;
+  }
 }
 
 TEST(SeedSelector, ValidatesAndDeduplicatesCandidates) {

@@ -23,14 +23,17 @@
 #include <sys/un.h>
 
 #include "core/exact_flow.h"
-#include "core/mh_sampler.h"
 #include "core/multi_chain.h"
 #include "graph/generators.h"
+#include "graph/reachability.h"
 #include "seedmax/seed_selector.h"
 #include "serve/protocol.h"
 #include "serve/query_engine.h"
 #include "serve/sample_bank.h"
 #include "serve/server.h"
+#include "stats/convergence.h"
+#include "stats/rng.h"
+#include "stats/special.h"
 #include "util/json.h"
 
 namespace infoflow::serve {
@@ -56,6 +59,8 @@ FlowConstraint EdgeConstraint(const PointIcm& model, EdgeId e = 0) {
   return {edge.src, edge.dst, true};
 }
 
+/// The bank ignores `chain.mh`; the tuning is for the direct MH samplers
+/// the property tests compare bank answers against.
 BankOptions FastBank(std::size_t states, std::size_t chains = 4) {
   BankOptions options;
   options.num_states = states;
@@ -82,43 +87,141 @@ QueryRequest FlowQuery(NodeId source, NodeId sink) {
 
 // ------------------------------------------------------------- SampleBank
 
-TEST(SampleBank, RowsMatchDirectChainSamplesBitForBit) {
-  // The bank must store exactly the retained states the chains produce:
-  // row k·R+i of generation 1 is chain k's i-th retained sample, packed.
-  const PointIcm model = SmallRandomModel(7, 10, 24);
-  const BankOptions options = FastBank(64, /*chains=*/3);
-  auto bank = SampleBank::Create(model, options, /*seed=*/42);
-  ASSERT_TRUE(bank.ok()) << bank.status();
-  const auto generation = bank->Acquire();
-  ASSERT_EQ(generation->id(), 1u);
-  const std::size_t per_chain = generation->rows_per_chain();
+/// True when every block of `generation` holds exactly the words the
+/// documented streams draw: block b's word e is the e-th BernoulliWord of
+/// Rng(SampleBank::BlockSeed(seed, epoch, refresh, b)), masked to the
+/// block's lanes.
+::testing::AssertionResult BlocksAreDocumentedStreams(
+    const BankGeneration& generation, const PointIcm& model,
+    std::uint64_t seed, std::uint64_t refresh) {
+  for (std::size_t b = 0; b < generation.num_blocks(); ++b) {
+    Rng rng(SampleBank::BlockSeed(seed, generation.model_epoch(), refresh, b));
+    const std::uint64_t* words = generation.BlockEdgeWords(b);
+    for (EdgeId e = 0; e < generation.num_edges(); ++e) {
+      const std::uint64_t want =
+          BernoulliWord(model.prob(e), rng) & generation.BlockLaneMask(b);
+      if (words[e] != want) {
+        return ::testing::AssertionFailure()
+               << "generation " << generation.id() << " block " << b
+               << " edge " << e;
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
 
-  for (std::size_t k = 0; k < generation->num_chains(); ++k) {
-    auto direct = MhSampler::Create(
-        model, {}, options.chain.mh,
-        Rng(MultiChainSampler::DeriveChainSeed(42, k)));
-    ASSERT_TRUE(direct.ok());
-    for (std::size_t i = 0; i < per_chain; ++i) {
-      const PseudoState& state = direct->NextSample();
-      const PseudoState row = generation->UnpackRow(k * per_chain + i);
-      ASSERT_EQ(state, row) << "chain " << k << " sample " << i;
+TEST(SampleBank, BlocksAreTheDocumentedBernoulliStreams) {
+  // Every fill draws block b's edge words from its own stream, keyed by
+  // (seed, model epoch, refreshes within the epoch, b); lanes past the
+  // last row stay zero. 34 rows per stream × 3 streams = 102 rows →
+  // blocks of 64 and 38.
+  const PointIcm model = SmallRandomModel(53, 10, 24);
+  auto bank = SampleBank::Create(model, FastBank(100, 3), 16);
+  ASSERT_TRUE(bank.ok());
+  const auto first = bank->Acquire();
+  ASSERT_EQ(first->num_rows(), 102u);
+  ASSERT_EQ(first->num_blocks(), 2u);
+  EXPECT_EQ(first->BlockLaneMask(1), (std::uint64_t{1} << (102 - 64)) - 1);
+  EXPECT_TRUE(BlocksAreDocumentedStreams(*first, model, 16, 0));
+
+  bank->Refresh();
+  bank->Refresh();
+  EXPECT_TRUE(BlocksAreDocumentedStreams(*bank->Acquire(), model, 16, 2));
+
+  const PointIcm other = SmallRandomModel(54, 10, 24);
+  PointIcm rebuilt(model.graph_ptr(), other.probs());
+  ASSERT_TRUE(bank->Rebuild(rebuilt, /*model_epoch=*/7).ok());
+  const auto after = bank->Acquire();
+  EXPECT_EQ(after->model_epoch(), 7u);
+  EXPECT_TRUE(BlocksAreDocumentedStreams(*after, rebuilt, 16, 0));
+  bank->Refresh();
+  EXPECT_TRUE(BlocksAreDocumentedStreams(*bank->Acquire(), rebuilt, 16, 1));
+}
+
+TEST(SampleBank, GenerationIsBitIdenticalAcrossThreadCounts) {
+  // The fill pool is a scheduling knob only: every generation — the
+  // Create fill, a refresh and a rebuild — is the same plane at 1, 2 and 4
+  // threads. Run under TSan (the CI tsan job matches "Bank") this also
+  // shows the parallel fill writes disjoint blocks.
+  const PointIcm model = SmallRandomModel(29, 40, 160);
+  const PointIcm next = SmallRandomModel(30, 40, 160);
+  std::vector<std::vector<std::uint64_t>> planes[3];
+  const std::size_t threads[3] = {1, 2, 4};
+  for (std::size_t t = 0; t < 3; ++t) {
+    BankOptions options = FastBank(1000);
+    options.chain.num_threads = threads[t];
+    auto bank = SampleBank::Create(model, options, 5);
+    ASSERT_TRUE(bank.ok());
+    const auto snapshot = [&] {
+      const auto generation = bank->Acquire();
+      const std::uint64_t* words = generation->BlockEdgeWords(0);
+      planes[t].emplace_back(
+          words, words + generation->num_blocks() * generation->num_edges());
+    };
+    snapshot();
+    bank->Refresh();
+    snapshot();
+    ASSERT_TRUE(
+        bank->Rebuild(PointIcm(model.graph_ptr(), next.probs()), 2).ok());
+    snapshot();
+  }
+  for (std::size_t t = 1; t < 3; ++t) {
+    ASSERT_EQ(planes[t].size(), planes[0].size());
+    for (std::size_t g = 0; g < planes[0].size(); ++g) {
+      EXPECT_EQ(planes[t][g], planes[0][g])
+          << threads[t] << " threads, generation " << g + 1;
     }
   }
 }
 
+TEST(SampleBank, RowsFitEquationThreeChiSquared) {
+  // Rows are exact draws of Pr[x | M] (Eq. 3): on a 6-edge graph, the
+  // empirical distribution of all 2^6 pseudo-states across 16384 rows fits
+  // the product of edge Bernoullis. Probabilities in [0.3, 0.7] keep every
+  // expected cell count above 10. The 99.9% critical value of χ² with 63
+  // degrees of freedom is 103.4; the seed is fixed, so this is
+  // deterministic.
+  Rng rng(88);
+  auto g = Share(UniformRandomGraph(5, 6, rng));
+  std::vector<double> probs(g->num_edges());
+  for (double& p : probs) p = rng.Uniform(0.3, 0.7);
+  const PointIcm model(g, probs);
+  auto bank = SampleBank::Create(model, FastBank(16384), 61);
+  ASSERT_TRUE(bank.ok());
+  const auto generation = bank->Acquire();
+  std::vector<double> observed(64, 0.0);
+  for (std::size_t r = 0; r < generation->num_rows(); ++r) {
+    const PseudoState row = generation->UnpackRow(r);
+    std::size_t cell = 0;
+    for (EdgeId e = 0; e < 6; ++e) cell |= std::size_t{row[e]} << e;
+    observed[cell] += 1.0;
+  }
+  const double n = static_cast<double>(generation->num_rows());
+  double chi2 = 0.0;
+  for (std::size_t cell = 0; cell < 64; ++cell) {
+    double expected = n;
+    for (EdgeId e = 0; e < 6; ++e) {
+      expected *= (cell >> e & 1) != 0 ? probs[e] : 1.0 - probs[e];
+    }
+    ASSERT_GT(expected, 10.0);
+    chi2 += (observed[cell] - expected) * (observed[cell] - expected) /
+            expected;
+  }
+  EXPECT_LT(chi2, 103.4);
+  EXPECT_GT(1.0 - ChiSquareCdf(chi2, 63.0), 1e-3);
+}
+
 TEST(SampleBank, RowCountAndLayout) {
   const PointIcm model = SmallRandomModel(3, 8, 20);
-  // 100 states over 3 chains → ⌈100/3⌉ = 34 per chain, 102 rows.
+  // 100 states over 3 streams → ⌈100/3⌉ = 34 per stream, 102 rows.
   auto bank = SampleBank::Create(model, FastBank(100, 3), 5);
   ASSERT_TRUE(bank.ok());
   const auto generation = bank->Acquire();
   EXPECT_EQ(generation->num_rows(), 102u);
+  EXPECT_EQ(generation->num_chains(), 3u);
   EXPECT_EQ(generation->rows_per_chain(), 34u);
   EXPECT_EQ(bank->rows_per_generation(), 102u);
-  EXPECT_EQ(generation->words_per_row(), PackedRowWords(20));
-  EXPECT_EQ(generation->ChainOfRow(0), 0u);
-  EXPECT_EQ(generation->ChainOfRow(34), 1u);
-  EXPECT_EQ(generation->ChainOfRow(101), 2u);
+  EXPECT_EQ(generation->num_edges(), 20u);
 }
 
 TEST(SampleBank, RefreshPublishesNewGenerationWithoutInvalidatingReaders) {
@@ -128,7 +231,7 @@ TEST(SampleBank, RefreshPublishesNewGenerationWithoutInvalidatingReaders) {
   const auto before = bank->Acquire();
   ASSERT_EQ(before->id(), 1u);
   // Snapshot a row, refresh, and check the old generation is untouched
-  // while the new one differs (the chains moved on).
+  // while the new one differs (fresh draws).
   const PseudoState row0 = before->UnpackRow(0);
   bank->Refresh();
   const auto after = bank->Acquire();
@@ -151,72 +254,94 @@ TEST(SampleBank, ValidatesOptions) {
 
 // ------------------------------------------------------------ QueryEngine
 
-TEST(QueryEngine, UnconditionalFlowMatchesMultiChainExactly) {
-  // The bank reuses the *same* retained states a fresh engine with the same
-  // seed would draw, so the estimates must agree bit-for-bit (indicator
-  // sums of 0/1 are exact in floating point).
-  const PointIcm model = SmallRandomModel(13, 10, 26);
-  const BankOptions options = FastBank(2000);
-  auto bank = SampleBank::Create(model, options, 77);
-  ASSERT_TRUE(bank.ok());
-  QueryEngine engine = MakeEngine(*bank);
-
-  auto direct = MultiChainSampler::Create(model, {}, options.chain, 77);
-  ASSERT_TRUE(direct.ok());
-  const MultiChainEstimate expected =
-      direct->EstimateFlowProbability(0, 9, options.num_states);
-
-  const auto generation = bank->Acquire();
-  const std::vector<QueryResult> results =
-      engine.AnswerBatch(*generation, {FlowQuery(0, 9)});
-  ASSERT_EQ(results.size(), 1u);
-  ASSERT_TRUE(results[0].status.ok()) << results[0].status;
-  ASSERT_EQ(results[0].estimates.size(), 1u);
-  EXPECT_DOUBLE_EQ(results[0].estimates[0].value, expected.value);
-  EXPECT_EQ(results[0].effective_rows, generation->num_rows());
-  EXPECT_DOUBLE_EQ(results[0].estimates[0].diagnostics.mcse,
-                   expected.diagnostics.mcse);
+/// The 0/1 draws of one estimate, split into the bank's row streams:
+/// stream k holds, in row order, the draw of every row of stream k that
+/// satisfies `given`. Replayed one row at a time from UnpackRow, so the
+/// streams are independent of the engine's bitmaps.
+std::vector<std::vector<double>> RowStreams(const BankGeneration& generation,
+                                            const PointIcm& model,
+                                            const QueryRequest& request,
+                                            const FlowConditions& given) {
+  ReachabilityWorkspace ws(model.graph());
+  const auto holds = [&](const PseudoState& row, NodeId source, NodeId sink) {
+    return ws.RunUntil(model.graph(), {source}, row, sink);
+  };
+  std::vector<std::vector<double>> streams(generation.num_chains());
+  for (std::size_t r = 0; r < generation.num_rows(); ++r) {
+    const PseudoState row = generation.UnpackRow(r);
+    bool kept = true;
+    for (const FlowConstraint& c : given) {
+      kept = kept && holds(row, c.source, c.sink) == c.must_flow;
+    }
+    if (!kept) continue;
+    bool draw = true;
+    if (request.kind == QueryKind::kJoint) {
+      for (const FlowConstraint& c : request.flows) {
+        draw = draw && holds(row, c.source, c.sink) == c.must_flow;
+      }
+    } else {
+      draw = ws.RunUntil(model.graph(), request.sources, row,
+                         request.sinks.front());
+    }
+    streams[r / generation.rows_per_chain()].push_back(draw ? 1.0 : 0.0);
+  }
+  return streams;
 }
 
-TEST(QueryEngine, CommunityAndJointMatchMultiChainExactly) {
-  // 1600 states over 4 chains → 400 per chain: even, so the multi-chain
-  // estimators' even-length split-chain truncation drops nothing and the
-  // comparison is exact.
+TEST(QueryEngine, PopcountDiagnosticsMatchChainDiagnosticsOfTheRowStreams) {
+  // Each estimate is built from indicator popcounts. Replaying every row
+  // on its own must give the same value bit for bit (an integer count over
+  // the survivors), the binomial MCSE and ESS of i.i.d. rows, and — when
+  // every stream keeps the same number of rows — ComputeChainDiagnostics'
+  // split-R̂ of the row streams. 1600 states over 4 streams → 400 rows
+  // each.
   const PointIcm model = SmallRandomModel(17, 12, 30);
-  const BankOptions options = FastBank(1600);
-  auto bank = SampleBank::Create(model, options, 31);
+  auto bank = SampleBank::Create(model, FastBank(1600), 31);
   ASSERT_TRUE(bank.ok());
   QueryEngine engine = MakeEngine(*bank);
   const auto generation = bank->Acquire();
 
-  QueryRequest community;
-  community.kind = QueryKind::kCommunity;
-  community.sources = {0, 1};
-  community.sinks = {5, 8, 11};
   QueryRequest joint;
   joint.kind = QueryKind::kJoint;
   joint.flows = {{0, 5, true}, {1, 8, true}};
+  QueryRequest conditional = FlowQuery(0, 11);
+  conditional.given = {EdgeConstraint(model)};
+  std::vector<QueryRequest> batch = {FlowQuery(0, 9), FlowQuery(0, 5),
+                                     FlowQuery(1, 8), joint, conditional};
   const std::vector<QueryResult> results =
-      engine.AnswerBatch(*generation, {community, joint});
-  ASSERT_TRUE(results[0].status.ok());
-  ASSERT_TRUE(results[1].status.ok());
-
-  auto direct1 = MultiChainSampler::Create(model, {}, options.chain, 31);
-  ASSERT_TRUE(direct1.ok());
-  const std::vector<MultiChainEstimate> expected =
-      direct1->EstimateCommunityFlowMulti({0, 1}, {5, 8, 11},
-                                          options.num_states);
-  ASSERT_EQ(results[0].estimates.size(), 3u);
-  for (std::size_t j = 0; j < 3; ++j) {
-    EXPECT_DOUBLE_EQ(results[0].estimates[j].value, expected[j].value);
+      engine.AnswerBatch(*generation, batch);
+  ASSERT_EQ(results.size(), batch.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    ASSERT_TRUE(results[i].status.ok()) << i << ": " << results[i].status;
+    const auto streams =
+        RowStreams(*generation, model, batch[i], batch[i].given);
+    double ones = 0.0;
+    std::size_t rows = 0;
+    bool equal_lengths = true;
+    for (const auto& stream : streams) {
+      for (const double d : stream) ones += d;
+      rows += stream.size();
+      equal_lengths = equal_lengths && stream.size() == streams[0].size();
+    }
+    const SinkEstimate& est = results[i].estimates.at(0);
+    EXPECT_EQ(results[i].effective_rows, rows) << i;
+    EXPECT_EQ(est.value, ones / static_cast<double>(rows)) << i;
+    EXPECT_EQ(est.diagnostics.ess, static_cast<double>(rows)) << i;
+    EXPECT_DOUBLE_EQ(est.diagnostics.mcse,
+                     std::sqrt(est.value * (1.0 - est.value) /
+                               static_cast<double>(rows)))
+        << i;
+    if (batch[i].given.empty()) {
+      ASSERT_TRUE(equal_lengths);
+      const ChainDiagnostics chains = ComputeChainDiagnostics(streams);
+      EXPECT_NEAR(est.value, chains.mean, 1e-15) << i;
+      EXPECT_NEAR(est.diagnostics.rhat, SplitChainRhat(streams), 1e-12) << i;
+      EXPECT_GT(est.diagnostics.rhat, 0.9) << i;
+    } else {
+      EXPECT_LT(rows, generation->num_rows());
+      EXPECT_TRUE(std::isfinite(est.diagnostics.rhat)) << i;
+    }
   }
-
-  auto direct2 = MultiChainSampler::Create(model, {}, options.chain, 31);
-  ASSERT_TRUE(direct2.ok());
-  const MultiChainEstimate joint_expected =
-      direct2->EstimateJointFlowProbability(joint.flows, options.num_states);
-  ASSERT_EQ(results[1].estimates.size(), 1u);
-  EXPECT_DOUBLE_EQ(results[1].estimates[0].value, joint_expected.value);
 }
 
 TEST(QueryEngine, FrontierDedupSharesOneScanAndPreservesAnswers) {
@@ -519,41 +644,13 @@ TEST(QueryEngine, OutOfRangeSourceFailsWithDescriptiveStatus) {
   EXPECT_NE(results[0].status.message().find("source"), std::string::npos);
 }
 
-TEST(SampleBank, EdgeMajorPlaneMatchesRowsIncludingRaggedTail) {
-  // The transposed plane must agree bit-for-bit with the packed rows:
-  // bit s of BlockEdgeWords(b)[e] is EdgeActive(b·64+s, e), and lanes past
-  // the final ragged row stay zero. 34 per chain × 3 chains = 102 rows →
-  // blocks of 64 and 38.
-  const PointIcm model = SmallRandomModel(53, 10, 24);
-  auto bank = SampleBank::Create(model, FastBank(100, 3), 16);
-  ASSERT_TRUE(bank.ok());
-  const auto generation = bank->Acquire();
-  ASSERT_EQ(generation->num_rows(), 102u);
-  ASSERT_EQ(generation->num_blocks(), 2u);
-  EXPECT_EQ(generation->BlockLaneMask(0), ~std::uint64_t{0});
-  EXPECT_EQ(generation->BlockLaneMask(1),
-            (std::uint64_t{1} << (102 - 64)) - 1);
-  for (std::size_t b = 0; b < generation->num_blocks(); ++b) {
-    const std::uint64_t* words = generation->BlockEdgeWords(b);
-    const std::uint64_t lanes = generation->BlockLaneMask(b);
-    for (EdgeId e = 0; e < generation->num_edges(); ++e) {
-      ASSERT_EQ(words[e] & ~lanes, 0u) << "block " << b << " edge " << e;
-      for (std::size_t s = 0; s < 64; ++s) {
-        const std::size_t row = b * 64 + s;
-        if (row >= generation->num_rows()) break;
-        ASSERT_EQ((words[e] >> s) & 1,
-                  generation->EdgeActive(row, e) ? 1u : 0u)
-            << "block " << b << " lane " << s << " edge " << e;
-      }
-    }
-  }
-}
-
 TEST(SampleBank, RefreshAndRebuildUnderConcurrentEdgeMajorReaders) {
   // Generations are immutable after publish: readers holding a generation
-  // scan its edge-major plane while the bank refreshes and rebuilds
-  // underneath them. Run under TSan (the CI tsan job matches "Bank") this
-  // proves the plane needs no locking beyond the publish pointer swap.
+  // check its edge-major plane against the documented streams while the
+  // bank refreshes and rebuilds underneath them. Run under TSan (the CI
+  // tsan job matches "Bank") this proves the plane needs no locking beyond
+  // the publish pointer swap. The driver alternates Refresh and Rebuild,
+  // so even generation ids are first refreshes and odd ones fresh epochs.
   const PointIcm model = SmallRandomModel(59, 10, 24);
   auto bank = SampleBank::Create(model, FastBank(150, 3), 18);
   ASSERT_TRUE(bank.ok());
@@ -566,23 +663,9 @@ TEST(SampleBank, RefreshAndRebuildUnderConcurrentEdgeMajorReaders) {
     readers.emplace_back([&] {
       while (!stop.load(std::memory_order_relaxed)) {
         const auto generation = bank->Acquire();
-        for (std::size_t b = 0; b < generation->num_blocks(); ++b) {
-          const std::uint64_t* words = generation->BlockEdgeWords(b);
-          const std::uint64_t lanes = generation->BlockLaneMask(b);
-          for (EdgeId e = 0; e < generation->num_edges(); ++e) {
-            // The plane always agrees with the rows of *this* generation.
-            for (std::size_t s = 0; s < 64; ++s) {
-              const std::size_t row = b * 64 + s;
-              if (row >= generation->num_rows()) break;
-              const bool bit = ((words[e] >> s) & 1) != 0;
-              if (bit != generation->EdgeActive(row, e)) {
-                failures.fetch_add(1, std::memory_order_relaxed);
-              }
-            }
-            if ((words[e] & ~lanes) != 0) {
-              failures.fetch_add(1, std::memory_order_relaxed);
-            }
-          }
+        if (!BlocksAreDocumentedStreams(*generation, model, 18,
+                                        generation->id() % 2 == 0 ? 1 : 0)) {
+          failures.fetch_add(1, std::memory_order_relaxed);
         }
       }
     });
@@ -867,6 +950,29 @@ TEST(Protocol, SerializesResultsAndErrors) {
       Status::ParseError("bad line")));
   ASSERT_TRUE(parse_error.ok());
   EXPECT_TRUE(parse_error->Find("id")->is_null());
+
+  // A line that parses but fails validation keeps its string id; a
+  // missing or non-string id stays null.
+  const std::pair<const char*, const char*> echoes[] = {
+      {R"({"id":"x","source":4294967301,"sink":5})", "x"},
+      {R"({"id":"bad","topk":0})", "bad"},
+      {R"({"id":"adm","trace":{"enable":"yes"}})", "adm"},
+      {R"({"source":4294967301,"sink":5})", nullptr},
+      {R"({"id":7,"topk":0})", nullptr},
+      {R"([1,2])", nullptr}};
+  for (const auto& [text, id] : echoes) {
+    auto json = ParseJson(text);
+    ASSERT_TRUE(json.ok()) << text;
+    auto echoed = ParseJson(
+        SerializeParseError(Status::InvalidArgument("no"), &*json));
+    ASSERT_TRUE(echoed.ok()) << text;
+    EXPECT_FALSE(echoed->Find("ok")->AsBool()) << text;
+    if (id == nullptr) {
+      EXPECT_TRUE(echoed->Find("id")->is_null()) << text;
+    } else {
+      EXPECT_EQ(echoed->Find("id")->AsString(), id) << text;
+    }
+  }
 }
 
 TEST(Protocol, TopkRequestsParseWithAllFields) {
@@ -1031,6 +1137,38 @@ TEST(Server, ServesBatchesInOrderWithPerLineErrors) {
   ASSERT_TRUE(third.ok());
   EXPECT_EQ(third->Find("id")->AsString(), "b");
   EXPECT_EQ(third->Find("estimates")->AsArray().size(), 2u);
+}
+
+TEST(Server, ErrorLinesEchoTheirStringId) {
+  // Lines that parse as JSON but fail validation — a query, a topk and an
+  // admin verb — answer with the id they carried, so a pipelining client
+  // can still correlate them; lines without a string id answer null.
+  const PointIcm model = SmallRandomModel(43, 10, 24);
+  Server server = MakeServer(model);
+  const std::string output = RoundTrip(
+      server,
+      "{\"id\":\"x\",\"source\":4294967301,\"sink\":5}\n"
+      "{\"id\":\"bad\",\"topk\":0}\n"
+      "{\"id\":\"adm\",\"trace\":{\"enable\":\"yes\"}}\n"
+      "{\"id\":\"ing\",\"ingest\":5}\n"
+      "{\"id\":9,\"source\":0,\"sink\":99999999999}\n"
+      "not json\n");
+  const std::vector<std::string> lines = SplitLines(output);
+  ASSERT_EQ(lines.size(), 6u);
+  const char* ids[] = {"x", "bad", "adm", "ing", nullptr, nullptr};
+  for (std::size_t j = 0; j < lines.size(); ++j) {
+    auto line = ParseJson(lines[j]);
+    ASSERT_TRUE(line.ok()) << lines[j];
+    EXPECT_FALSE(line->Find("ok")->AsBool()) << lines[j];
+    EXPECT_EQ(line->Find("error")->Find("code")->AsString(),
+              j == 5 ? "parse-error" : "invalid-argument")
+        << lines[j];
+    if (ids[j] == nullptr) {
+      EXPECT_TRUE(line->Find("id")->is_null()) << lines[j];
+    } else {
+      EXPECT_EQ(line->Find("id")->AsString(), ids[j]) << lines[j];
+    }
+  }
 }
 
 TEST(Server, AnswersOverUnixSocket) {
@@ -1307,11 +1445,11 @@ TEST(Server, TopkVerbMatchesDirectSelectionOverTheSameBank) {
   EXPECT_DOUBLE_EQ(m2->Find("universe")->AsNumber(), 3.0);
   EXPECT_LE(m2->Find("spread")->AsNumber(), 3.0 + 1e-12);
 
-  // Malformed k: rejected on the parse path with a null id.
+  // Malformed k: rejected on the parse path, keeping its id.
   auto bad = ParseJson(lines[2]);
   ASSERT_TRUE(bad.ok());
   EXPECT_FALSE(bad->Find("ok")->AsBool());
-  EXPECT_TRUE(bad->Find("id")->is_null());
+  EXPECT_EQ(bad->Find("id")->AsString(), "bad");
   EXPECT_EQ(bad->Find("error")->Find("code")->AsString(),
             "invalid-argument");
 }

@@ -694,14 +694,13 @@ serve::BankOptions FastBank(std::size_t states = 256) {
   serve::BankOptions options;
   options.num_states = states;
   options.chain.num_chains = 2;
-  options.chain.mh.burn_in = 600;
-  options.chain.mh.thinning = 4;
   return options;
 }
 
 TEST(SampleBankRebuild, SwapsModelEpochAndIsSeedDeterministic) {
   auto g = RandomGraph(61, 12, 36);
   const PointIcm before = RandomModel(g, 62);
+  const PointIcm between = RandomModel(g, 64);
   const PointIcm after = RandomModel(g, 63);
 
   auto bank1 = serve::SampleBank::Create(before, FastBank(), /*seed=*/9);
@@ -710,25 +709,34 @@ TEST(SampleBankRebuild, SwapsModelEpochAndIsSeedDeterministic) {
   EXPECT_EQ(bank1->Acquire()->model_epoch(), 1u);
   EXPECT_EQ(bank1->model_epoch(), 1u);
 
-  auto held = bank1->Acquire();  // in-flight reader across the rebuild
+  // bank1 has a longer history — refreshes and an intermediate epoch —
+  // before both banks rebuild to epoch 5.
+  auto held = bank1->Acquire();  // in-flight reader across the rebuilds
+  bank1->Refresh();
+  bank1->Refresh();
+  ASSERT_TRUE(bank1->Rebuild(between, /*model_epoch=*/3).ok());
+  bank1->Refresh();
   ASSERT_TRUE(bank1->Rebuild(after, /*model_epoch=*/5).ok());
   ASSERT_TRUE(bank2->Rebuild(after, /*model_epoch=*/5).ok());
 
   EXPECT_EQ(bank1->model_epoch(), 5u);
   auto gen1 = bank1->Acquire();
   auto gen2 = bank2->Acquire();
-  EXPECT_EQ(gen1->id(), 2u);
+  EXPECT_EQ(gen1->id(), 6u);
+  EXPECT_EQ(gen2->id(), 2u);
   EXPECT_EQ(gen1->model_epoch(), 5u);
   EXPECT_EQ(held->model_epoch(), 1u);  // the held generation is immutable
   for (EdgeId e = 0; e < g->num_edges(); ++e) {
     EXPECT_EQ(bank1->model().prob(e), after.prob(e));
   }
-  // Same create seed + same epoch → DeriveChainSeed gives identical chains,
-  // hence identical rows: a restarted daemon reproduces its bank.
+  // Same create seed + same epoch → the same block streams, hence the same
+  // plane whatever either bank did before: a restarted daemon replaying
+  // the same evidence reproduces its bank.
   ASSERT_EQ(gen1->num_rows(), gen2->num_rows());
-  for (std::size_t r = 0; r < gen1->num_rows(); ++r) {
-    for (std::size_t w = 0; w < gen1->words_per_row(); ++w) {
-      ASSERT_EQ(gen1->Row(r)[w], gen2->Row(r)[w]) << "row " << r;
+  for (std::size_t b = 0; b < gen1->num_blocks(); ++b) {
+    for (EdgeId e = 0; e < g->num_edges(); ++e) {
+      ASSERT_EQ(gen1->BlockEdgeWords(b)[e], gen2->BlockEdgeWords(b)[e])
+          << "block " << b << " edge " << e;
     }
   }
 }

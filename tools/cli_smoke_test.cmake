@@ -65,29 +65,36 @@ if(NOT metrics_csv MATCHES "kind,name,field,value")
 endif()
 
 # serve refuses a flag it does not know (the retired --shards, a misspelt
-# --bank-state) by name, before it fills a bank. Empty stdin keeps a daemon
-# that wrongly started from waiting for queries.
+# --bank-state) by name, and a malformed numeric value (not a number, or
+# negative for a count) naming its flag, before it fills a bank or starts a
+# pool. Empty stdin keeps a daemon that wrongly started from waiting for
+# queries.
 file(WRITE ${WORK_DIR}/no_queries.ndjson "")
-foreach(bad_flag shards bank-state)
+function(expect_serve_refused flag value error)
   execute_process(
-    COMMAND ${CLI} serve --model ${WORK_DIR}/model.bicm --${bad_flag} 2
-            --chains 2 --burn-in 200 --thinning 4
+    COMMAND ${CLI} serve --model ${WORK_DIR}/model.bicm --chains 2
+            --${flag} ${value}
     INPUT_FILE ${WORK_DIR}/no_queries.ndjson
     RESULT_VARIABLE serve_code
     OUTPUT_VARIABLE serve_out
     ERROR_VARIABLE serve_err)
   if(serve_code EQUAL 0)
-    message(FATAL_ERROR "serve --${bad_flag} exited 0; it must be refused")
+    message(FATAL_ERROR "serve --${flag} ${value} exited 0; it must be refused")
   endif()
-  if(NOT serve_err MATCHES "unknown flag --${bad_flag}\n")
+  if(NOT serve_err MATCHES "invalid-argument: ${error}")
     message(FATAL_ERROR
-            "serve --${bad_flag}: the error does not name the flag: ${serve_err}")
+            "serve --${flag} ${value}: the error does not name the flag: "
+            "${serve_err}")
   endif()
   if(serve_err MATCHES "bank ready")
     message(FATAL_ERROR
-            "serve --${bad_flag} filled a bank before refusing the flag")
+            "serve --${flag} ${value} filled a bank before refusing it")
   endif()
-endforeach()
+endfunction()
+expect_serve_refused(shards 2 "unknown flag --shards\n")
+expect_serve_refused(bank-state 2 "unknown flag --bank-state\n")
+expect_serve_refused(chains abc "--chains expects a non-negative integer")
+expect_serve_refused(threads -1 "--threads expects a non-negative integer")
 
 # Regression: a SIGTERM'd serve daemon must still flush --metrics-json
 # (the signal handlers read as EOF in the serve loop, so the daemon
@@ -96,7 +103,7 @@ if(UNIX)
   file(REMOVE ${WORK_DIR}/serve_metrics.json)
   execute_process(
     COMMAND sh -c "sleep 30 | '${CLI}' serve --model '${WORK_DIR}/model.bicm' \
---bank-states 64 --chains 2 --burn-in 200 --thinning 4 \
+--bank-states 64 --chains 2 \
 --metrics-json '${WORK_DIR}/serve_metrics.json' & pid=$!; \
 sleep 3; kill -TERM $pid; wait $pid"
     RESULT_VARIABLE serve_code)

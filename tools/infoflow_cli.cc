@@ -9,7 +9,7 @@
 ///                       (joint-bayes | goyal | saito-em | filtered)
 ///   query               flow probability from a model, with optional
 ///                       conditions ("a>b" requires flow, "a!>b" forbids)
-///   serve               long-running query daemon: warms a pseudo-state
+///   serve               long-running query daemon: draws a pseudo-state
 ///                       sample bank, then answers newline-delimited JSON
 ///                       query batches on stdin/stdout (and optionally a
 ///                       Unix socket) with amortized per-query cost
@@ -41,6 +41,8 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -117,15 +119,23 @@ class Flags {
     return raw != "0" && raw != "false";
   }
 
+  /// A non-negative integer flag. A value that is empty, not a number,
+  /// negative, followed by other characters, or past 2^64 − 1 is recorded
+  /// in value_error() and reads as `fallback`.
   std::uint64_t GetInt(const std::string& key, std::uint64_t fallback) {
-    const std::string raw = Get(key, std::to_string(fallback));
-    return std::strtoull(raw.c_str(), nullptr, 10);
+    return Parse(key, fallback, "a non-negative integer");
   }
 
+  /// A finite number flag; malformed values as for GetInt.
   double GetDouble(const std::string& key, double fallback) {
-    const std::string raw = Get(key, FormatDouble(fallback, 17));
-    return std::strtod(raw.c_str(), nullptr);
+    const double value = Parse(key, fallback, "a finite number");
+    if (std::isfinite(value)) return value;
+    NoteBadValue(key, "a finite number");
+    return fallback;
   }
+
+  /// The first malformed numeric value read so far, naming its flag.
+  const Status& value_error() const { return value_error_; }
 
   /// Overrides a flag programmatically (the --shard-procs fork path
   /// rewrites the child's configuration before re-dispatching serve).
@@ -142,8 +152,10 @@ class Flags {
     return it->second;
   }
 
-  /// Flags present but never consumed (typo detection).
+  /// A malformed numeric value (value_error()), else the first flag
+  /// present but never consumed (typo detection).
   Status CheckUnused() const {
+    if (!value_error_.ok()) return value_error_;
     for (const auto& [key, value] : values_) {
       if (!seen_.contains(key)) {
         return Status::InvalidArgument("unknown flag --", key);
@@ -153,9 +165,32 @@ class Flags {
   }
 
  private:
+  template <typename T>
+  T Parse(const std::string& key, T fallback, const char* expected) {
+    seen_.insert(key);
+    const auto it = values_.find(key);
+    if (it == values_.end()) return fallback;
+    const std::string& raw = it->second;
+    T value{};
+    const auto [end, ec] =
+        std::from_chars(raw.data(), raw.data() + raw.size(), value);
+    if (raw.empty() || ec != std::errc() || end != raw.data() + raw.size()) {
+      NoteBadValue(key, expected);
+      return fallback;
+    }
+    return value;
+  }
+
+  void NoteBadValue(const std::string& key, const char* expected) {
+    if (!value_error_.ok()) return;
+    value_error_ = Status::InvalidArgument(
+        "--", key, " expects ", expected, ", got '", values_.at(key), "'");
+  }
+
   std::map<std::string, std::string> values_;
   std::set<std::string> seen_;
   Status error_;
+  Status value_error_;
 };
 
 int Fail(const Status& status) {
@@ -169,6 +204,7 @@ int CmdSimulate(Flags& flags) {
   const std::size_t messages = flags.GetInt("messages", 2000);
   const std::size_t objects = flags.GetInt("tag-objects", 400);
   const std::uint64_t seed = flags.GetInt("seed", 1);
+  if (!flags.value_error().ok()) return Fail(flags.value_error());
   auto out_dir = flags.Require("out-dir");
   if (!out_dir.ok()) return Fail(out_dir.status());
 
@@ -304,6 +340,7 @@ int CmdTrainUnattributed(Flags& flags) {
                                         "'"));
   }
   options.no_evidence_mean = flags.GetDouble("no-evidence-mean", 0.0);
+  if (!flags.value_error().ok()) return Fail(flags.value_error());
 
   auto reference = LoadPointIcm(*graph_path);
   if (!reference.ok()) return Fail(reference.status());
@@ -343,6 +380,7 @@ int CmdQuery(Flags& flags) {
   const std::uint64_t seed = flags.GetInt("seed", 1);
   const std::size_t chains = flags.GetInt("chains", 4);
   const bool progress = flags.GetBool("progress");
+  if (!flags.value_error().ok()) return Fail(flags.value_error());
   auto conditions = ParseFlowConditions(flags.Get("given", ""));
   if (!conditions.ok()) return Fail(conditions.status());
   auto backend = serve::ParseQueryBackend(flags.Get("backend", "bank"));
@@ -570,10 +608,6 @@ int CmdServe(Flags& flags) {
   bank_options.chain.num_chains =
       std::max<std::size_t>(1, flags.GetInt("chains", 4));
   bank_options.chain.num_threads = flags.GetInt("threads", 0);
-  // The chain defaults (burn-in 4m, thinning max(8, m/8)) scale with the
-  // model's edge count, so they are resolved once the model is loaded.
-  const std::string burn_in = flags.Get("burn-in", "");
-  const std::string thinning = flags.Get("thinning", "");
 
   serve::ServerOptions server_options;
   server_options.max_batch = flags.GetInt("max-batch", 64);
@@ -649,13 +683,6 @@ int CmdServe(Flags& flags) {
 
   auto model = LoadAnyModel(*model_path);
   if (!model.ok()) return Fail(model.status());
-  const std::size_t num_edges = model->graph().num_edges();
-  bank_options.chain.mh.burn_in =
-      burn_in.empty() ? 4 * num_edges
-                      : std::strtoull(burn_in.c_str(), nullptr, 10);
-  bank_options.chain.mh.thinning =
-      thinning.empty() ? std::max<std::size_t>(8, num_edges / 8)
-                       : std::strtoull(thinning.c_str(), nullptr, 10);
 
   std::shared_ptr<stream::StreamIngestor> ingestor;
   if (ingest_enabled) {
@@ -676,7 +703,7 @@ int CmdServe(Flags& flags) {
   auto bank = serve::SampleBank::Create(*model, bank_options, seed);
   if (!bank.ok()) return Fail(bank.status());
   std::fprintf(stderr,
-               "serve: bank ready — %zu rows x %u edges over %zu chains in "
+               "serve: bank ready — %zu rows x %u edges over %zu streams in "
                "%.1f ms%s%s\n",
                bank->rows_per_generation(), model->graph().num_edges(),
                bank_options.chain.num_chains, warmup.Millis(),
@@ -750,6 +777,7 @@ int CmdMaximize(Flags& flags) {
     options.num_seeds = k;
     options.simulations = flags.GetInt("simulations", 500);
     options.candidates = *candidates;
+    if (!flags.value_error().ok()) return Fail(flags.value_error());
     Rng rng(seed);
     WallTimer timer;
     auto result = MaximizeInfluence(*model, options, rng);
@@ -774,15 +802,14 @@ int CmdMaximize(Flags& flags) {
   auto given = ParseFlowConditions(flags.Get("given", ""));
   if (!given.ok()) return Fail(given.status());
 
-  const std::size_t num_edges = model->graph().num_edges();
   serve::BankOptions bank_options;
   bank_options.num_states = flags.GetInt("bank-states", 2048);
   bank_options.chain.num_chains =
       std::max<std::size_t>(1, flags.GetInt("chains", 4));
   bank_options.chain.num_threads = flags.GetInt("threads", 0);
-  bank_options.chain.mh.burn_in = flags.GetInt("burn-in", 4 * num_edges);
-  bank_options.chain.mh.thinning =
-      flags.GetInt("thinning", std::max<std::size_t>(8, num_edges / 8));
+  const std::size_t min_conditional_rows =
+      flags.GetInt("min-conditional-rows", 32);
+  if (!flags.value_error().ok()) return Fail(flags.value_error());
   WallTimer warmup;
   auto bank = serve::SampleBank::Create(*model, bank_options, seed);
   if (!bank.ok()) return Fail(bank.status());
@@ -802,7 +829,7 @@ int CmdMaximize(Flags& flags) {
     seedmax::RrBuildOptions build;
     build.targets = std::move(*community);
     build.given = std::move(*given);
-    build.min_conditional_rows = flags.GetInt("min-conditional-rows", 32);
+    build.min_conditional_rows = min_conditional_rows;
     build.pool = &index.pool();
     auto built = seedmax::RrSketchSet::Build(index.view(), *generation,
                                              build);
@@ -841,6 +868,7 @@ int CmdImpact(Flags& flags) {
   const auto source = static_cast<NodeId>(flags.GetInt("source", 0));
   const std::size_t cascades = flags.GetInt("cascades", 10000);
   const std::uint64_t seed = flags.GetInt("seed", 1);
+  if (!flags.value_error().ok()) return Fail(flags.value_error());
   auto backend = serve::ParseQueryBackend(flags.Get("backend", "bank"));
   if (!backend.ok()) return Fail(backend.status());
   auto model = LoadAnyModel(*model_path);
@@ -947,7 +975,8 @@ int Usage() {
       "                      256/512 run 4/8-word reachability strips; auto\n"
       "                      picks the widest strip the bank fills; answers\n"
       "                      are bit-identical at every width)\n"
-      "                      [--seed S] (bank + rebuild chain seeds)\n"
+      "                      [--seed S] (seeds every bank fill; --chains K\n"
+      "                      splits the rows into K streams for R-hat)\n"
       "                      [--backend auto|analytic|bank] (default backend\n"
       "                      for requests without a \"backend\" field)\n"
       "                      (NDJSON queries on stdin -> responses on stdout)\n"
