@@ -110,32 +110,93 @@ QueryRequest FlowQuery(NodeId source, NodeId sink) {
   return ::testing::AssertionSuccess();
 }
 
-TEST(SampleBank, BlocksAreTheDocumentedBernoulliStreams) {
-  // Every fill draws block b's edge words from its own stream, keyed by
-  // (seed, model epoch, refreshes within the epoch, b); lanes past the
-  // last row stay zero. 34 rows per stream × 3 streams = 102 rows →
-  // blocks of 64 and 38.
-  const PointIcm model = SmallRandomModel(53, 10, 24);
-  auto bank = SampleBank::Create(model, FastBank(100, 3), 16);
-  ASSERT_TRUE(bank.ok());
+/// True when row k·R+i of `generation` is stream k's i-th direct sample:
+/// edge e of row r is bit r mod 64 of the e-th BernoulliWord of
+/// Rng(SampleBank::BlockSeed(seed, epoch, refresh, r / 64)).
+::testing::AssertionResult RowsAreDirectStreamSamples(
+    const BankGeneration& generation, const PointIcm& model,
+    std::uint64_t seed, std::uint64_t refresh) {
+  const std::size_t per_chain = generation.rows_per_chain();
+  for (std::size_t k = 0; k < generation.num_chains(); ++k) {
+    for (std::size_t i = 0; i < per_chain; ++i) {
+      const std::size_t r = k * per_chain + i;
+      Rng rng(SampleBank::BlockSeed(seed, generation.model_epoch(), refresh,
+                                    r / 64));
+      PseudoState direct(generation.num_edges(), 0);
+      for (EdgeId e = 0; e < generation.num_edges(); ++e) {
+        direct[e] = static_cast<std::uint8_t>(
+            (BernoulliWord(model.prob(e), rng) >> (r % 64)) & 1);
+      }
+      if (generation.UnpackRow(r) != direct) {
+        return ::testing::AssertionFailure()
+               << "generation " << generation.id() << " chain " << k
+               << " sample " << i;
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(SampleBank, RowsMatchDirectChainSamplesBitForBit) {
+  // The bank must store exactly the draws its row streams document: row
+  // k·R+i is stream k's i-th sample, drawn from its block's generator,
+  // keyed by (seed, model epoch, refreshes within the epoch, block). 34
+  // rows per stream × 3 streams = 102 rows, so stream 1 straddles the two
+  // blocks.
+  const PointIcm model = SmallRandomModel(7, 10, 24);
+  auto bank = SampleBank::Create(model, FastBank(100, /*chains=*/3), 42);
+  ASSERT_TRUE(bank.ok()) << bank.status();
   const auto first = bank->Acquire();
+  ASSERT_EQ(first->id(), 1u);
   ASSERT_EQ(first->num_rows(), 102u);
-  ASSERT_EQ(first->num_blocks(), 2u);
-  EXPECT_EQ(first->BlockLaneMask(1), (std::uint64_t{1} << (102 - 64)) - 1);
-  EXPECT_TRUE(BlocksAreDocumentedStreams(*first, model, 16, 0));
+  EXPECT_TRUE(RowsAreDirectStreamSamples(*first, model, 42, 0));
 
   bank->Refresh();
   bank->Refresh();
-  EXPECT_TRUE(BlocksAreDocumentedStreams(*bank->Acquire(), model, 16, 2));
+  EXPECT_TRUE(RowsAreDirectStreamSamples(*bank->Acquire(), model, 42, 2));
 
-  const PointIcm other = SmallRandomModel(54, 10, 24);
+  const PointIcm other = SmallRandomModel(8, 10, 24);
   PointIcm rebuilt(model.graph_ptr(), other.probs());
   ASSERT_TRUE(bank->Rebuild(rebuilt, /*model_epoch=*/7).ok());
   const auto after = bank->Acquire();
   EXPECT_EQ(after->model_epoch(), 7u);
-  EXPECT_TRUE(BlocksAreDocumentedStreams(*after, rebuilt, 16, 0));
+  EXPECT_TRUE(RowsAreDirectStreamSamples(*after, rebuilt, 42, 0));
   bank->Refresh();
-  EXPECT_TRUE(BlocksAreDocumentedStreams(*bank->Acquire(), rebuilt, 16, 1));
+  EXPECT_TRUE(RowsAreDirectStreamSamples(*bank->Acquire(), rebuilt, 42, 1));
+}
+
+TEST(SampleBank, EdgeMajorPlaneMatchesRowsIncludingRaggedTail) {
+  // The plane must agree bit-for-bit with the rows: bit s of
+  // BlockEdgeWords(b)[e] is edge e of row b·64+s, every block holds its
+  // documented stream, and lanes past the final ragged row stay zero on
+  // every fill. 34 per stream × 3 streams = 102 rows → blocks of 64 and
+  // 38.
+  const PointIcm model = SmallRandomModel(53, 10, 24);
+  auto bank = SampleBank::Create(model, FastBank(100, 3), 16);
+  ASSERT_TRUE(bank.ok());
+  for (std::uint64_t refresh = 0; refresh < 2; ++refresh) {
+    if (refresh > 0) bank->Refresh();
+    const auto generation = bank->Acquire();
+    ASSERT_EQ(generation->num_rows(), 102u);
+    ASSERT_EQ(generation->num_blocks(), 2u);
+    EXPECT_EQ(generation->BlockLaneMask(0), ~std::uint64_t{0});
+    EXPECT_EQ(generation->BlockLaneMask(1),
+              (std::uint64_t{1} << (102 - 64)) - 1);
+    EXPECT_TRUE(BlocksAreDocumentedStreams(*generation, model, 16, refresh));
+    for (std::size_t b = 0; b < generation->num_blocks(); ++b) {
+      const std::uint64_t* words = generation->BlockEdgeWords(b);
+      const std::uint64_t lanes = generation->BlockLaneMask(b);
+      for (EdgeId e = 0; e < generation->num_edges(); ++e) {
+        ASSERT_EQ(words[e] & ~lanes, 0u) << "block " << b << " edge " << e;
+        for (std::size_t s = 0; s < 64; ++s) {
+          const std::size_t row = b * 64 + s;
+          if (row >= generation->num_rows()) break;
+          ASSERT_EQ((words[e] >> s) & 1, generation->UnpackRow(row)[e])
+              << "block " << b << " lane " << s << " edge " << e;
+        }
+      }
+    }
+  }
 }
 
 TEST(SampleBank, GenerationIsBitIdenticalAcrossThreadCounts) {
@@ -254,14 +315,15 @@ TEST(SampleBank, ValidatesOptions) {
 
 // ------------------------------------------------------------ QueryEngine
 
-/// The 0/1 draws of one estimate, split into the bank's row streams:
-/// stream k holds, in row order, the draw of every row of stream k that
-/// satisfies `given`. Replayed one row at a time from UnpackRow, so the
+/// The 0/1 draws of estimate `j` of `request` (sink j, or the joint
+/// event), split into the bank's row streams: stream k holds, in row
+/// order, the draw of every row of stream k that satisfies
+/// `request.given`. Replayed one row at a time from UnpackRow, so the
 /// streams are independent of the engine's bitmaps.
 std::vector<std::vector<double>> RowStreams(const BankGeneration& generation,
                                             const PointIcm& model,
                                             const QueryRequest& request,
-                                            const FlowConditions& given) {
+                                            std::size_t j) {
   ReachabilityWorkspace ws(model.graph());
   const auto holds = [&](const PseudoState& row, NodeId source, NodeId sink) {
     return ws.RunUntil(model.graph(), {source}, row, sink);
@@ -270,7 +332,7 @@ std::vector<std::vector<double>> RowStreams(const BankGeneration& generation,
   for (std::size_t r = 0; r < generation.num_rows(); ++r) {
     const PseudoState row = generation.UnpackRow(r);
     bool kept = true;
-    for (const FlowConstraint& c : given) {
+    for (const FlowConstraint& c : request.given) {
       kept = kept && holds(row, c.source, c.sink) == c.must_flow;
     }
     if (!kept) continue;
@@ -281,40 +343,29 @@ std::vector<std::vector<double>> RowStreams(const BankGeneration& generation,
       }
     } else {
       draw = ws.RunUntil(model.graph(), request.sources, row,
-                         request.sinks.front());
+                         request.sinks.at(j));
     }
     streams[r / generation.rows_per_chain()].push_back(draw ? 1.0 : 0.0);
   }
   return streams;
 }
 
-TEST(QueryEngine, PopcountDiagnosticsMatchChainDiagnosticsOfTheRowStreams) {
-  // Each estimate is built from indicator popcounts. Replaying every row
-  // on its own must give the same value bit for bit (an integer count over
-  // the survivors), the binomial MCSE and ESS of i.i.d. rows, and — when
-  // every stream keeps the same number of rows — ComputeChainDiagnostics'
-  // split-R̂ of the row streams. 1600 states over 4 streams → 400 rows
-  // each.
-  const PointIcm model = SmallRandomModel(17, 12, 30);
-  auto bank = SampleBank::Create(model, FastBank(1600), 31);
-  ASSERT_TRUE(bank.ok());
-  QueryEngine engine = MakeEngine(*bank);
-  const auto generation = bank->Acquire();
-
-  QueryRequest joint;
-  joint.kind = QueryKind::kJoint;
-  joint.flows = {{0, 5, true}, {1, 8, true}};
-  QueryRequest conditional = FlowQuery(0, 11);
-  conditional.given = {EdgeConstraint(model)};
-  std::vector<QueryRequest> batch = {FlowQuery(0, 9), FlowQuery(0, 5),
-                                     FlowQuery(1, 8), joint, conditional};
-  const std::vector<QueryResult> results =
-      engine.AnswerBatch(*generation, batch);
-  ASSERT_EQ(results.size(), batch.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    ASSERT_TRUE(results[i].status.ok()) << i << ": " << results[i].status;
-    const auto streams =
-        RowStreams(*generation, model, batch[i], batch[i].given);
+/// Checks every estimate of `result` against its RowStreams: the value bit
+/// for bit (an integer count over the survivors), the binomial MCSE and
+/// ESS of i.i.d. rows, and — when every stream keeps the same number of
+/// rows — the mean and split-R̂ ComputeChainDiagnostics gives the streams
+/// taken as chains.
+void ExpectMatchesRowStreams(const BankGeneration& generation,
+                             const PointIcm& model,
+                             const QueryRequest& request,
+                             const QueryResult& result) {
+  ASSERT_TRUE(result.status.ok()) << result.status;
+  const std::size_t num_estimates =
+      request.kind == QueryKind::kJoint ? 1 : request.sinks.size();
+  ASSERT_EQ(result.estimates.size(), num_estimates);
+  for (std::size_t j = 0; j < num_estimates; ++j) {
+    SCOPED_TRACE(::testing::Message() << "estimate " << j);
+    const auto streams = RowStreams(generation, model, request, j);
     double ones = 0.0;
     std::size_t rows = 0;
     bool equal_lengths = true;
@@ -323,25 +374,72 @@ TEST(QueryEngine, PopcountDiagnosticsMatchChainDiagnosticsOfTheRowStreams) {
       rows += stream.size();
       equal_lengths = equal_lengths && stream.size() == streams[0].size();
     }
-    const SinkEstimate& est = results[i].estimates.at(0);
-    EXPECT_EQ(results[i].effective_rows, rows) << i;
-    EXPECT_EQ(est.value, ones / static_cast<double>(rows)) << i;
-    EXPECT_EQ(est.diagnostics.ess, static_cast<double>(rows)) << i;
+    const SinkEstimate& est = result.estimates[j];
+    EXPECT_EQ(result.effective_rows, rows);
+    EXPECT_EQ(est.value, ones / static_cast<double>(rows));
+    EXPECT_EQ(est.diagnostics.ess, static_cast<double>(rows));
     EXPECT_DOUBLE_EQ(est.diagnostics.mcse,
                      std::sqrt(est.value * (1.0 - est.value) /
-                               static_cast<double>(rows)))
-        << i;
-    if (batch[i].given.empty()) {
+                               static_cast<double>(rows)));
+    if (request.given.empty()) {
       ASSERT_TRUE(equal_lengths);
       const ChainDiagnostics chains = ComputeChainDiagnostics(streams);
-      EXPECT_NEAR(est.value, chains.mean, 1e-15) << i;
-      EXPECT_NEAR(est.diagnostics.rhat, SplitChainRhat(streams), 1e-12) << i;
-      EXPECT_GT(est.diagnostics.rhat, 0.9) << i;
+      EXPECT_NEAR(est.value, chains.mean, 1e-15);
+      EXPECT_NEAR(est.diagnostics.rhat, SplitChainRhat(streams), 1e-12);
+      EXPECT_GT(est.diagnostics.rhat, 0.9);
     } else {
-      EXPECT_LT(rows, generation->num_rows());
-      EXPECT_TRUE(std::isfinite(est.diagnostics.rhat)) << i;
+      EXPECT_LT(rows, generation.num_rows());
+      EXPECT_TRUE(std::isfinite(est.diagnostics.rhat));
     }
   }
+}
+
+TEST(QueryEngine, UnconditionalFlowMatchesMultiChainExactly) {
+  // Each estimate is built from indicator popcounts over the bank's row
+  // streams, so it must reproduce what the multi-chain diagnostics give
+  // the streams replayed row by row. 2000 states over 4 streams → 500
+  // rows each.
+  const PointIcm model = SmallRandomModel(13, 10, 26);
+  auto bank = SampleBank::Create(model, FastBank(2000), 77);
+  ASSERT_TRUE(bank.ok());
+  QueryEngine engine = MakeEngine(*bank);
+  const auto generation = bank->Acquire();
+
+  const std::vector<QueryRequest> batch = {FlowQuery(0, 9), FlowQuery(0, 5),
+                                           FlowQuery(1, 8)};
+  const std::vector<QueryResult> results =
+      engine.AnswerBatch(*generation, batch);
+  ASSERT_EQ(results.size(), batch.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    SCOPED_TRACE(::testing::Message() << "query " << i);
+    EXPECT_EQ(results[i].effective_rows, generation->num_rows());
+    ExpectMatchesRowStreams(*generation, model, batch[i], results[i]);
+  }
+}
+
+TEST(QueryEngine, CommunityAndJointMatchMultiChainExactly) {
+  // Per-sink community estimates and the joint estimate take the same
+  // popcount path: 1600 states over 4 streams → 400 rows each, so the
+  // split-R̂ halves are exact and every number must match the row-stream
+  // replay.
+  const PointIcm model = SmallRandomModel(17, 12, 30);
+  auto bank = SampleBank::Create(model, FastBank(1600), 31);
+  ASSERT_TRUE(bank.ok());
+  QueryEngine engine = MakeEngine(*bank);
+  const auto generation = bank->Acquire();
+
+  QueryRequest community;
+  community.kind = QueryKind::kCommunity;
+  community.sources = {0, 1};
+  community.sinks = {5, 8, 11};
+  QueryRequest joint;
+  joint.kind = QueryKind::kJoint;
+  joint.flows = {{0, 5, true}, {1, 8, true}};
+  const std::vector<QueryResult> results =
+      engine.AnswerBatch(*generation, {community, joint});
+  ASSERT_EQ(results.size(), 2u);
+  ExpectMatchesRowStreams(*generation, model, community, results[0]);
+  ExpectMatchesRowStreams(*generation, model, joint, results[1]);
 }
 
 TEST(QueryEngine, FrontierDedupSharesOneScanAndPreservesAnswers) {
@@ -388,6 +486,9 @@ TEST(QueryEngine, ConditionalReportsEffectiveRows) {
   // The filtered mean is a probability.
   EXPECT_GE(results[0].estimates[0].value, 0.0);
   EXPECT_LE(results[0].estimates[0].value, 1.0);
+  // The survivors, and the estimate over them, are those of the row-by-row
+  // replay.
+  ExpectMatchesRowStreams(*generation, model, request, results[0]);
 }
 
 TEST(QueryEngine, ConditionalFloorFailsWithDescriptiveStatus) {
