@@ -1,12 +1,14 @@
 /// \file impact_analytic.cc
-/// \brief The analytic backend vs MH + bank replay on the queries both can
+/// \brief The analytic backend vs bank replay on the queries both can
 /// answer (Eq. 5 flow, Fig. 4 impact), across three structural shapes:
 ///
 ///   tree   — random recursive tree: the analytic subtree-convolution
-///            regime is exact, and `--backend auto` must route here. The
-///            headline ratio `speedup_vs_bank` (bank replay seconds /
-///            analytic seconds for the same unconditional flow batch) is
-///            gated ≥ 20× in CI on the quick shape.
+///            regime is exact, and `--backend auto` must route here. Two
+///            ratios of bank replay seconds to analytic seconds:
+///            `speedup_vs_bank` for flows from one source, which the bank
+///            answers in one merged scan (its best case; CI gates ≥ 1× on
+///            the quick shape), and `distinct_speedup_vs_bank` for flows
+///            from distinct sources, one scan each (CI gates ≥ 20×).
 ///   loopy  — the same tree plus a few shortcut edges, kept under the
 ///            feasibility scorer's excess-ratio budget: the loopy fallback
 ///            answers, and the record tracks its worst deviation from bank
@@ -225,7 +227,7 @@ Result<JsonValue> DeepSourceRecord(const BenchArgs& args, Rng& rng) {
 }
 
 int Run(const BenchArgs& args) {
-  Banner("Analytic cascade-size backend vs MH + bank replay");
+  Banner("Analytic cascade-size backend vs bank replay");
   Rng rng(args.seed);
   // The bank is serving-tier sized: replay cost scales with rows while
   // the analytic path's does not, so a toy bank would understate the very
@@ -241,10 +243,11 @@ int Run(const BenchArgs& args) {
   shapes.push_back(DenseShape(args, rng));
 
   CsvWriter csv({"shape", "bank_s", "analytic_s", "speedup_vs_bank",
-                 "max_dev_mcse"});
+                 "distinct_speedup_vs_bank", "max_dev_mcse"});
   JsonValue::Array records;
-  std::printf("%6s | %10s %10s | %8s | %9s | %8s | %s\n", "shape", "bank s",
-              "analytic s", "speedup", "max dev", "regime", "auto routes to");
+  std::printf("%6s | %10s %10s | %8s | %8s | %9s | %8s | %s\n", "shape",
+              "bank s", "analytic s", "speedup", "distinct", "max dev",
+              "regime", "auto routes to");
   for (const Shape& shape : shapes) {
     const PointIcm model(shape.graph, shape.probs);
     serve::BankOptions bank_options;
@@ -333,6 +336,45 @@ int Run(const BenchArgs& args) {
     const std::string auto_backend =
         analytic_routed * 2 >= num_queries ? "analytic" : "bank";
 
+    // The same number of flows from distinct sources: the first nodes with
+    // children (the upper levels, whose subtrees are largest), each to the
+    // end of a random downward walk. The bank merges same-source frontiers
+    // into one scan, so the batch above is its best case; here it pays one
+    // scan of every row per request, while the analytic path still pays
+    // only each source's reachable subgraph.
+    double distinct_bank_s = 0.0;
+    double distinct_analytic_s = 0.0;
+    double distinct_speedup = 0.0;
+    if (!refused) {
+      std::vector<serve::QueryRequest> distinct_bank;
+      std::vector<serve::QueryRequest> distinct_analytic;
+      for (NodeId source = 0; distinct_bank.size() < num_queries &&
+                              source < shape.graph->num_nodes();
+           ++source) {
+        if (shape.graph->OutDegree(source) == 0) continue;
+        NodeId sink = source;
+        do {
+          const auto out = shape.graph->OutEdges(sink);
+          sink = shape.graph->edge(out[pick.NextBounded(out.size())]).dst;
+        } while (shape.graph->OutDegree(sink) > 0 && pick.NextBounded(4) != 0);
+        serve::QueryRequest request;
+        request.kind = serve::QueryKind::kFlow;
+        request.sources = {source};
+        request.sinks = {sink};
+        request.backend = serve::QueryBackend::kBank;
+        distinct_bank.push_back(request);
+        request.backend = serve::QueryBackend::kAnalytic;
+        distinct_analytic.push_back(std::move(request));
+      }
+      distinct_bank_s = TimeBest(reps, [&] {
+        engine->AnswerBatch(*generation, distinct_bank);
+      });
+      distinct_analytic_s = TimeBest(reps, [&] {
+        engine->AnswerBatch(*generation, distinct_analytic);
+      });
+      distinct_speedup = distinct_bank_s / distinct_analytic_s;
+    }
+
     // Fig. 4's impact histogram through both paths (exact shapes only).
     double impact_analytic_s = 0.0;
     double impact_simulate_s = 0.0;
@@ -347,11 +389,13 @@ int Run(const BenchArgs& args) {
       });
     }
 
-    std::printf("%6s | %10.4f %10.4f | %7.1fx | %8.2f σ | %8s | %s\n",
+    std::printf("%6s | %10.4f %10.4f | %7.1fx | %7.1fx | %8.2f σ | %8s | %s\n",
                 shape.name.c_str(), bank_s, analytic_s, speedup,
-                max_dev_mcse, regime.c_str(), auto_backend.c_str());
+                distinct_speedup, max_dev_mcse, regime.c_str(),
+                auto_backend.c_str());
     csv.AppendRow({shape.name, FormatDouble(bank_s, 6),
                    FormatDouble(analytic_s, 6), FormatDouble(speedup, 4),
+                   FormatDouble(distinct_speedup, 4),
                    FormatDouble(max_dev_mcse, 4)});
 
     JsonValue::Object record;
@@ -365,6 +409,9 @@ int Run(const BenchArgs& args) {
     record["analytic_refused"] = refused;
     record["analytic_method"] = regime;
     record["speedup_vs_bank"] = speedup;
+    record["distinct_bank_s"] = distinct_bank_s;
+    record["distinct_analytic_s"] = distinct_analytic_s;
+    record["distinct_speedup_vs_bank"] = distinct_speedup;
     record["max_dev_mcse"] = max_dev_mcse;
     record["auto_backend"] = auto_backend;
     record["impact_analytic_s"] = impact_analytic_s;

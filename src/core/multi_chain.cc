@@ -12,6 +12,11 @@
 namespace infoflow {
 
 Status MultiChainOptions::Validate() const {
+  IF_RETURN_NOT_OK(ValidateNumChains());
+  return mh.Validate();
+}
+
+Status MultiChainOptions::ValidateNumChains() const {
   if (num_chains == 0) {
     return Status::InvalidArgument("num_chains must be positive");
   }
@@ -19,7 +24,7 @@ Status MultiChainOptions::Validate() const {
     return Status::InvalidArgument("num_chains ", num_chains,
                                    " unreasonably large");
   }
-  return mh.Validate();
+  return Status::OK();
 }
 
 std::uint64_t MultiChainSampler::DeriveChainSeed(std::uint64_t seed,

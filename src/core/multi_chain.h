@@ -80,6 +80,8 @@ struct MultiChainOptions {
 
   /// Validates the option values.
   Status Validate() const;
+  /// Validates `num_chains` alone, for callers that ignore `mh`.
+  Status ValidateNumChains() const;
 };
 
 /// \brief A pooled estimate plus the evidence it converged.

@@ -161,9 +161,13 @@ Result<RrSketchSet> RrSketchSet::Build(
   // build below reads in block order (bit-identical to the serial loop;
   // TouchedNodes is ascending either way).
   const DirectedGraph& reversed = view.reversed();
+  // Flat fields rather than an RrPosting member, whose padding would make
+  // each triple 24 bytes instead of 16: these buffers are the build's
+  // largest transient allocation.
   struct NodePosting {
     NodeId node;
-    RrPosting posting;
+    std::uint32_t group;
+    std::uint64_t lanes;
   };
   std::vector<std::vector<NodePosting>> block_raw(num_blocks);
   // Replay width: strips of W consecutive blocks share one reverse pass
@@ -205,7 +209,7 @@ Result<RrSketchSet> RrSketchSet::Build(
             if (mask[w] == 0) continue;
             const auto group =
                 static_cast<std::uint32_t>(ti * num_blocks + b0 + w);
-            block_raw[b0 + w].push_back({u, {group, mask[w]}});
+            block_raw[b0 + w].push_back({u, group, mask[w]});
           }
         }
       }
@@ -252,7 +256,7 @@ Result<RrSketchSet> RrSketchSet::Build(
       metrics.reverse_passes->Increment();
       const auto group = static_cast<std::uint32_t>(ti * num_blocks + b);
       for (const NodeId u : workspace.TouchedNodes()) {
-        out.push_back({u, {group, workspace.ReachedMask(u)}});
+        out.push_back({u, group, workspace.ReachedMask(u)});
       }
     }
   };
@@ -298,9 +302,9 @@ Result<RrSketchSet> RrSketchSet::Build(
   set.coverage_.assign(n, 0);
   for (const std::vector<NodePosting>& br : block_raw) {
     for (const NodePosting& np : br) {
-      set.postings_[cursor[np.node]++] = np.posting;
+      set.postings_[cursor[np.node]++] = {np.group, np.lanes};
       set.coverage_[np.node] +=
-          static_cast<std::uint64_t>(std::popcount(np.posting.lanes));
+          static_cast<std::uint64_t>(std::popcount(np.lanes));
     }
   }
 

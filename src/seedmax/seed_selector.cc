@@ -127,19 +127,13 @@ Result<SeedMaxResult> SelectSeeds(const RrSketchSet& sketches,
   // together), while rows are independent. So the spread is the mean over
   // surviving rows of the row's covered-target count, and its MCSE is that
   // count's SD over rows / sqrt(rows). Sketch group g is (target g / B,
-  // block g % B) for B blocks; lane l of block b is row 64·b + l. A pick
-  // first sums its newly covered lanes per block in bit-sliced counters
-  // (word i holds bit i of every lane's count) — a few word operations per
-  // posting instead of one step per lane — and folds them into the per-row
-  // counts once.
+  // block g % B) for B blocks; lane l of block b is row 64·b + l, and a
+  // pick bumps the count of every row it newly covers.
   const std::size_t num_blocks =
       sketches.universe() > 0 ? sketches.num_groups() / sketches.universe()
                               : 0;
-  const auto levels =
-      static_cast<std::size_t>(std::bit_width(sketches.universe()));
   const double rows = static_cast<double>(sketches.effective_rows());
   std::vector<std::uint64_t> row_covered(num_blocks * 64, 0);
-  std::vector<std::uint64_t> added(num_blocks * levels, 0);
   std::uint64_t sum_sq = 0;  // Σ over rows of covered count²
   while (result.picks.size() < options.num_seeds) {
     Entry top = queue.top();
@@ -165,29 +159,12 @@ Result<SeedMaxResult> SelectSeeds(const RrSketchSet& sketches,
       std::uint64_t fresh = p.lanes & ~covered[p.group];
       marginal += static_cast<std::uint64_t>(std::popcount(fresh));
       covered[p.group] |= p.lanes;
-      // Ripple-carry: add one to the count of every fresh lane.
-      std::uint64_t* slice = &added[(p.group % num_blocks) * levels];
-      for (std::size_t i = 0; fresh != 0; ++i) {
-        const std::uint64_t carry = slice[i] & fresh;
-        slice[i] ^= fresh;
-        fresh = carry;
+      std::uint64_t* block_rows = &row_covered[(p.group % num_blocks) * 64];
+      for (; fresh != 0; fresh &= fresh - 1) {
+        std::uint64_t& count = block_rows[std::countr_zero(fresh)];
+        sum_sq += 2 * count + 1;
+        ++count;
       }
-    }
-    for (std::size_t b = 0; b < num_blocks; ++b) {
-      std::uint64_t* slice = &added[b * levels];
-      std::uint64_t lanes = 0;
-      for (std::size_t i = 0; i < levels; ++i) lanes |= slice[i];
-      for (; lanes != 0; lanes &= lanes - 1) {
-        const auto lane = static_cast<std::size_t>(std::countr_zero(lanes));
-        std::uint64_t d = 0;
-        for (std::size_t i = 0; i < levels; ++i) {
-          d |= ((slice[i] >> lane) & 1) << i;
-        }
-        std::uint64_t& count = row_covered[b * 64 + lane];
-        sum_sq += d * (2 * count + d);
-        count += d;
-      }
-      std::fill(slice, slice + levels, 0);
     }
     covered_total += marginal;
     metrics.selections->Increment();

@@ -14,14 +14,7 @@ Status BankOptions::Validate() const {
   if (num_states == 0) {
     return Status::InvalidArgument("bank num_states must be positive");
   }
-  if (chain.num_chains == 0) {
-    return Status::InvalidArgument("bank num_chains must be positive");
-  }
-  if (chain.num_chains > (1u << 12)) {
-    return Status::InvalidArgument("bank num_chains ", chain.num_chains,
-                                   " unreasonably large");
-  }
-  return Status::OK();
+  return chain.ValidateNumChains();
 }
 
 BankGeneration::BankGeneration(std::uint64_t id, std::uint64_t model_epoch,
