@@ -9,7 +9,10 @@
 /// Bernoulli edge draws (density 0.5), packed row-major for the scalar
 /// path, transposed into the edge-major plane (bit_transpose.h) for the
 /// 64-lane path, and interleaved into 4/8-word strips (strip_plane.h) for
-/// the 256/512-lane paths — the layouts the serve engine replays.
+/// the 256/512-lane paths — the layouts the serve engine replays. The
+/// 64-lane path runs forward with an early exit; the strip paths run the
+/// meet-in-the-middle RunUntil the engine uses for one sink, plus a
+/// forward column (Run, then ReachedMask(sink)) at each strip width.
 /// Every path's per-row hit counts must agree exactly; a divergence fails
 /// the bench.
 ///
@@ -17,7 +20,8 @@
 /// directory) with one record per graph size: rows/s through each path,
 /// per-width `reach_speedup_{64,256,512}` ratios over scalar (plus
 /// `reach_speedup`, the speedup at the width `--lanes auto` would pick),
-/// and the transpose/interleave costs of building the planes. The
+/// `meet_speedup_{256,512}` (forward time over RunUntil time at that
+/// width), and the transpose/interleave costs of building the planes. The
 /// checked-in copy at the repo root is the baseline the docs quote, and
 /// CI's lane-width gate asserts 512-lane ≥ 1.5× over 64-lane on the quick
 /// shape from this file's output.
@@ -116,9 +120,9 @@ int Run(const BenchArgs& args) {
                  "lanes512_rows_per_s", "reach_speedup", "transpose_ms"});
   JsonValue::Array records;
   double gate_512_over_64 = 0.0;
-  std::printf("%7s %7s %6s | %14s %14s %14s %14s | %7s\n", "nodes", "edges",
-              "rows", "scalar rows/s", "64-lane", "256-lane", "512-lane",
-              "512/64");
+  std::printf("%7s %7s %6s | %14s %14s %14s %14s | %7s | %8s %8s\n",
+              "nodes", "edges", "rows", "scalar rows/s", "64-lane",
+              "256-lane", "512-lane", "512/64", "meet256", "meet512");
   for (const SizePoint& size : sizes) {
     const DirectedGraph graph =
         UniformRandomGraph(size.nodes, size.edges, rng);
@@ -182,12 +186,15 @@ int Run(const BenchArgs& args) {
     // The multi-word strip paths: interleave the edge-major plane into
     // W-word strips once (the cost SampleBank::AcquireStripPlane pays and
     // caches per generation), then replay through the runtime-width
-    // workspace with RunUntil, exactly as the serve engine does.
+    // workspace with RunUntil, the meet-in-the-middle search the serve
+    // engine runs for one sink, and — the forward column — with Run and
+    // ReachedMask(sink), as it runs for several.
     const auto block_lane_mask = [&](std::size_t b) {
       const std::size_t rows = std::min<std::size_t>(64, set.num_rows - b * 64);
       return rows >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << rows) - 1;
     };
     double strip_s[2] = {0.0, 0.0};
+    double forward_s[2] = {0.0, 0.0};
     double interleave_ms[2] = {0.0, 0.0};
     for (std::size_t i = 0; i < 2; ++i) {
       const unsigned width = i == 0 ? 4 : 8;
@@ -200,28 +207,42 @@ int Run(const BenchArgs& args) {
           block_lane_mask);
       interleave_ms[i] = interleave_timer.Seconds() * 1e3;
       auto workspace = StripWorkspace::Create(width, graph);
-      std::size_t strip_hits = 0;
-      std::uint64_t target_mask[kMaxStripWords];
-      strip_s[i] = TimeBest(reps, [&] {
-        strip_hits = 0;
-        for (std::size_t q = 0; q < kPairs; ++q) {
-          sources[0] = panel_src[q];
-          for (std::size_t s = 0; s < plane.num_strips; ++s) {
-            workspace->RunUntil(graph, sources, plane.StripWords(s),
-                                panel_sink[q], plane.StripLaneMask(s),
-                                target_mask);
-            for (unsigned w = 0; w < width; ++w) {
-              strip_hits +=
-                  static_cast<std::size_t>(std::popcount(target_mask[w]));
+      // Times every pair over every strip; `meet` picks RunUntil or Run.
+      const auto replay = [&](bool meet, double& seconds) {
+        std::size_t hits = 0;
+        std::uint64_t target_mask[kMaxStripWords];
+        seconds = TimeBest(reps, [&] {
+          hits = 0;
+          for (std::size_t q = 0; q < kPairs; ++q) {
+            sources[0] = panel_src[q];
+            for (std::size_t s = 0; s < plane.num_strips; ++s) {
+              const std::uint64_t* mask = target_mask;
+              if (meet) {
+                workspace->RunUntil(graph, sources, plane.StripWords(s),
+                                    panel_sink[q], plane.StripLaneMask(s),
+                                    target_mask);
+              } else {
+                workspace->Run(graph, sources, plane.StripWords(s),
+                               plane.StripLaneMask(s));
+                mask = workspace->ReachedMask(panel_sink[q]);
+              }
+              for (unsigned w = 0; w < width; ++w) {
+                hits += static_cast<std::size_t>(std::popcount(mask[w]));
+              }
             }
           }
+        });
+        return hits;
+      };
+      for (const bool meet : {true, false}) {
+        const std::size_t hits = replay(meet, meet ? strip_s[i] : forward_s[i]);
+        if (hits != scalar_hits) {
+          std::fprintf(stderr,
+                       "hit-count divergence: scalar %zu %u-lane %s %zu\n",
+                       scalar_hits, width * 64, meet ? "meet" : "forward",
+                       hits);
+          return 1;
         }
-      });
-      if (strip_hits != scalar_hits) {
-        std::fprintf(stderr,
-                     "hit-count divergence: scalar %zu %u-lane strips %zu\n",
-                     scalar_hits, width * 64, strip_hits);
-        return 1;
       }
     }
 
@@ -245,10 +266,13 @@ int Run(const BenchArgs& args) {
     // there `--lanes auto` steps back down, so they don't gate.
     if (gate_512_over_64 == 0.0) gate_512_over_64 = ratio_512_over_64;
     const double transpose_ms = set.transpose_s * 1e3;
-    std::printf("%7u %7u %6zu | %14.0f %14.0f %14.0f %14.0f | %6.2fx\n",
-                size.nodes, size.edges, set.num_rows, scalar_rows_per_s,
-                batch_rows_per_s, lanes256_rows_per_s, lanes512_rows_per_s,
-                ratio_512_over_64);
+    std::printf(
+        "%7u %7u %6zu | %14.0f %14.0f %14.0f %14.0f | %6.2fx | %7.2fx "
+        "%7.2fx\n",
+        size.nodes, size.edges, set.num_rows, scalar_rows_per_s,
+        batch_rows_per_s, lanes256_rows_per_s, lanes512_rows_per_s,
+        ratio_512_over_64, forward_s[0] / strip_s[0],
+        forward_s[1] / strip_s[1]);
     csv.AppendNumericRow({static_cast<double>(size.nodes),
                           static_cast<double>(size.edges),
                           static_cast<double>(set.num_rows),
@@ -270,6 +294,10 @@ int Run(const BenchArgs& args) {
     record["reach_speedup_64"] = scalar_s / batch_s;
     record["reach_speedup_256"] = scalar_s / strip_s[0];
     record["reach_speedup_512"] = scalar_s / strip_s[1];
+    record["forward256_rows_per_s"] = replayed / forward_s[0];
+    record["forward512_rows_per_s"] = replayed / forward_s[1];
+    record["meet_speedup_256"] = forward_s[0] / strip_s[0];
+    record["meet_speedup_512"] = forward_s[1] / strip_s[1];
     record["strip_width"] = static_cast<double>(64 * auto_words);
     record["transpose_ms"] = transpose_ms;
     record["interleave256_ms"] = interleave_ms[0];

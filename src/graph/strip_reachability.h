@@ -24,6 +24,18 @@
 /// references whatever the sweep schedule (the differential suite in
 /// tests/test_strip_reachability.cc pins this).
 ///
+/// Run answers every sink at once; RunUntil answers one target and meets
+/// in the middle instead (Pohl's bidirectional search): a forward side
+/// grows the reached masks from the sources over out-edges while a
+/// backward side grows per-node "reaches the target" masks from the
+/// target over the same reversed CSR the pulls sweep, both on the one
+/// strip plane, and each round expands the side whose queue has the
+/// smaller degree sum. A lane is decided yes when a node newly reached on
+/// one side is already reached on the other, and no once either side has
+/// nothing pending in it: a source reaches the target in a world exactly
+/// when the target's backward closure there holds a source, so the answer
+/// equals Run's mask at the target bit for bit.
+///
 /// Callers that pick the width at runtime (query engine, sketch build,
 /// impact cascades) go through the StripWorkspace interface; the per-pass
 /// virtual dispatch is amortized over an entire strip BFS.
@@ -81,9 +93,10 @@ inline constexpr std::size_t kStripWorkingSetBudget = 640 * 1024;
 ///
 /// Mirrors the BatchReachabilityWorkspace API with every mask widened to a
 /// words()-word span; see that class for the contract of each member
-/// (Run ≡ Begin + Seed* + Propagate, RunUntil's early exit, the incremental
-/// Seed/Propagate discipline the reverse sketch build seeds through).
-/// Not thread-safe; give each worker its own instance.
+/// (Run ≡ Begin + Seed* + Propagate, the incremental Seed/Propagate
+/// discipline the reverse sketch build seeds through). RunUntil is the
+/// bidirectional search of the file comment. Not thread-safe; give each
+/// worker its own instance.
 class StripWorkspace {
  public:
   virtual ~StripWorkspace() = default;
@@ -96,9 +109,11 @@ class StripWorkspace {
                    const std::uint64_t* strip_words,
                    const std::uint64_t* lane_mask) = 0;
 
-  /// As Run(), but stops at a round boundary once `target`'s mask saturates
-  /// `lane_mask`; copies the target's final W-word mask into `target_mask`.
-  /// ReachedMask() remains valid for the explored prefix only.
+  /// Writes into `target_mask` the lanes of `lane_mask` in which `target`
+  /// is reachable from `sources` — Run()'s ReachedMask(target), bit for
+  /// bit — by meeting in the middle (file comment). ReachedMask() then
+  /// holds only the forward side's explored prefix. The backward side's
+  /// state is allocated on a workspace's first call.
   virtual void RunUntil(const DirectedGraph& graph,
                         const std::vector<NodeId>& sources,
                         const std::uint64_t* strip_words, NodeId target,
@@ -178,10 +193,21 @@ class StripReachabilityWorkspace final : public StripWorkspace {
  private:
   void BindGraph(const DirectedGraph& graph);
 
-  /// The shared direction-optimizing fixpoint loop behind RunUntil and
-  /// Propagate. `target_mask` may be null when `target` is kInvalidNode.
-  void Finish(const std::uint64_t* strip_words, NodeId target,
-              const std::uint64_t* lane_mask, std::uint64_t* target_mask);
+  /// The direction-optimizing fixpoint loop behind Run and Propagate.
+  void Finish(const std::uint64_t* strip_words);
+
+  /// One level of RunUntil's meet search on one side (forward over
+  /// out-edges into reached_, or backward over in-edges into
+  /// back_reached_): drains the side's queue, relaxing only the `live`
+  /// (undecided) lanes of each delta. A lane grown at a node the other
+  /// side already holds moves from `live` to `found`. On return `live`
+  /// keeps only the lanes this level left pending, the side's queue holds
+  /// the nodes that grew, and `degree_sum` their degree sum. Returns the
+  /// number of nodes relaxed.
+  template <bool kBackward>
+  std::uint64_t MeetRound(const std::uint64_t* strip_words,
+                          std::uint64_t* live, std::uint64_t* found,
+                          std::uint64_t& degree_sum);
 
   /// One top-down round: drains `frontier` in node-id order pushing delta
   /// masks through out-edges, marking growth in `next`. Returns the number
@@ -225,6 +251,21 @@ class StripReachabilityWorkspace final : public StripWorkspace {
   std::vector<EdgeId> in_first_;
   std::vector<NodeId> in_src_;
   std::vector<EdgeId> in_eid_;
+
+  /// RunUntil's backward side, sized on the first RunUntil: per-node
+  /// "reaches the target" masks and their propagated lanes, with the
+  /// forward side's delta discipline; zero outside back_touched_, which
+  /// the next RunUntil re-zeroes. back_ever_ marks back_touched_.
+  std::vector<std::uint64_t> back_reached_;
+  std::vector<std::uint64_t> back_propagated_;
+  std::vector<std::uint64_t> back_ever_;
+  std::vector<NodeId> back_touched_;
+  /// Queue marks (bit v = v waits in that side's queue; frontier_bits_
+  /// serves the forward side) and the per-side level queues, [0] forward
+  /// and [1] backward. Marks are all zero between runs.
+  std::vector<std::uint64_t> back_queued_;
+  std::vector<NodeId> queue_[2];
+  std::vector<NodeId> next_queue_[2];
 
   obs::Counter* metric_strips_;
   obs::Counter* metric_frontier_words_;

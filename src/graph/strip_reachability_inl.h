@@ -86,7 +86,7 @@ void StripReachabilityWorkspace<W, Isa>::Run(
   for (const NodeId s : sources) {
     Seed(s, lane_mask);
   }
-  Finish(strip_words, kInvalidNode, nullptr, nullptr);
+  Finish(strip_words);
 }
 
 template <unsigned W, int Isa>
@@ -94,11 +94,66 @@ void StripReachabilityWorkspace<W, Isa>::RunUntil(
     const DirectedGraph& graph, const std::vector<NodeId>& sources,
     const std::uint64_t* strip_words, NodeId target,
     const std::uint64_t* lane_mask, std::uint64_t* target_mask) {
+  WallTimer timer;
   Begin(graph);
-  for (const NodeId s : sources) {
-    Seed(s, lane_mask);
+  IF_CHECK(std::size_t{target} * W < reached_.size())
+      << "target " << target << " out of range";
+  if (back_reached_.size() != reached_.size()) {
+    back_reached_.assign(reached_.size(), 0);
+    back_propagated_.assign(reached_.size(), 0);
+    back_ever_.assign(frontier_bits_.size(), 0);
+    back_queued_.assign(frontier_bits_.size(), 0);
   }
-  Finish(strip_words, target, lane_mask, target_mask);
+  for (const NodeId v : back_touched_) {
+    StripOps<W, Isa>::Zero(&back_reached_[std::size_t{v} * W]);
+    StripOps<W, Isa>::Zero(&back_propagated_[std::size_t{v} * W]);
+    back_ever_[v >> 6] = 0;
+  }
+  back_touched_.clear();
+  // Seed both sides with the lane mask: the sources forward, the target
+  // backward. frontier_bits_ marks the forward queue.
+  std::uint64_t degree_sum[2] = {0, 0};
+  queue_[0].clear();
+  for (const NodeId s : sources) {
+    IF_CHECK(std::size_t{s} * W < reached_.size())
+        << "seed " << s << " out of range";
+    StripOps<W, Isa>::MergeInto(&reached_[std::size_t{s} * W], lane_mask);
+    const std::uint64_t bit = std::uint64_t{1} << (s & 63);
+    if ((frontier_bits_[s >> 6] & bit) != 0) continue;  // duplicate source
+    frontier_bits_[s >> 6] |= bit;
+    ever_bits_[s >> 6] |= bit;
+    touched_.push_back(s);
+    queue_[0].push_back(s);
+    degree_sum[0] += first_edge_[s + 1] - first_edge_[s];
+  }
+  StripOps<W, Isa>::Copy(&back_reached_[std::size_t{target} * W], lane_mask);
+  back_queued_[target >> 6] |= std::uint64_t{1} << (target & 63);
+  back_ever_[target >> 6] |= std::uint64_t{1} << (target & 63);
+  back_touched_.push_back(target);
+  queue_[1].assign(1, target);
+  degree_sum[1] = in_first_[target + 1] - in_first_[target];
+  // found: lanes decided yes (the sides met); live: lanes still undecided.
+  std::uint64_t found[W];
+  std::uint64_t live[W];
+  for (unsigned w = 0; w < W; ++w) {
+    found[w] = reached_[std::size_t{target} * W + w];  // target is a source
+    live[w] = lane_mask[w] & ~found[w];
+  }
+  std::uint64_t relaxed = 0;
+  while (StripOps<W, Isa>::AnySet(live)) {
+    relaxed += degree_sum[1] < degree_sum[0]
+                   ? MeetRound<true>(strip_words, live, found, degree_sum[1])
+                   : MeetRound<false>(strip_words, live, found, degree_sum[0]);
+  }
+  // Deciding every lane can leave nodes queued; restore the all-zero marks.
+  for (const NodeId v : queue_[0]) frontier_bits_[v >> 6] = 0;
+  for (const NodeId v : queue_[1]) back_queued_[v >> 6] = 0;
+  StripOps<W, Isa>::Copy(target_mask, found);
+  metric_strips_->Increment();
+  metric_frontier_words_->Increment(relaxed);
+  if constexpr (obs::MetricsEnabled()) {
+    metric_strip_latency_us_->Record(timer.Seconds() * 1e6);
+  }
 }
 
 template <unsigned W, int Isa>
@@ -135,7 +190,7 @@ void StripReachabilityWorkspace<W, Isa>::Seed(NodeId v,
 template <unsigned W, int Isa>
 void StripReachabilityWorkspace<W, Isa>::Propagate(
     const std::uint64_t* strip_words) {
-  Finish(strip_words, kInvalidNode, nullptr, nullptr);
+  Finish(strip_words);
 }
 
 template <unsigned W, int Isa>
@@ -273,17 +328,14 @@ std::uint64_t StripReachabilityWorkspace<W, Isa>::PullRound(
 
 template <unsigned W, int Isa>
 void StripReachabilityWorkspace<W, Isa>::Finish(
-    const std::uint64_t* strip_words, NodeId target,
-    const std::uint64_t* lane_mask, std::uint64_t* target_mask) {
+    const std::uint64_t* strip_words) {
   WallTimer timer;
   std::uint64_t frontier_words = 0;
   const std::size_t num_words = frontier_bits_.size();
   const NodeId n = static_cast<NodeId>(first_edge_.size() - 1);
   std::uint64_t* frontier = frontier_bits_.data();
   std::uint64_t* next = next_bits_.data();
-  bool done =
-      target != kInvalidNode &&
-      StripOps<W, Isa>::Equal(&reached_[std::size_t{target} * W], lane_mask);
+  bool done = false;
   while (!done) {
     // Direction choice à la Beamer: a wide live frontier makes the
     // one-visit-per-node pull sweep cheaper than revisiting push targets
@@ -302,18 +354,10 @@ void StripReachabilityWorkspace<W, Isa>::Finish(
       any |= next[wi];
     }
     std::swap(frontier, next);
-    if (target != kInvalidNode &&
-        StripOps<W, Isa>::Equal(&reached_[std::size_t{target} * W],
-                                lane_mask)) {
-      break;  // saturated: the answer cannot change
-    }
     done = any == 0;
   }
-  // An early exit leaves a live frontier; restore the empty-bitmap
-  // invariant and re-extract touched_ from ever_bits_, exactly as the
-  // 64-lane workspace does.
-  std::fill(frontier_bits_.begin(), frontier_bits_.end(), 0);
-  std::fill(next_bits_.begin(), next_bits_.end(), 0);
+  // The loop ends on an empty frontier, in either bitmap; re-extract
+  // touched_ from ever_bits_, exactly as the 64-lane workspace does.
   touched_.clear();
   for (std::size_t wi = 0; wi < num_words; ++wi) {
     std::uint64_t bits = ever_bits_[wi];
@@ -323,14 +367,108 @@ void StripReachabilityWorkspace<W, Isa>::Finish(
       bits &= bits - 1;
     }
   }
-  if (target != kInvalidNode && target_mask != nullptr) {
-    StripOps<W, Isa>::Copy(target_mask, &reached_[std::size_t{target} * W]);
-  }
   metric_strips_->Increment();
   metric_frontier_words_->Increment(frontier_words);
   if constexpr (obs::MetricsEnabled()) {
     metric_strip_latency_us_->Record(timer.Seconds() * 1e6);
   }
+}
+
+template <unsigned W, int Isa>
+template <bool kBackward>
+std::uint64_t StripReachabilityWorkspace<W, Isa>::MeetRound(
+    const std::uint64_t* strip_words, std::uint64_t* live,
+    std::uint64_t* found, std::uint64_t& degree_sum) {
+  // Forward walks out-edges, whose flat position is the plane index;
+  // backward walks in-edges through in_eid_. Each side checks the other's
+  // reached masks for a meet.
+  const EdgeId* first = kBackward ? in_first_.data() : first_edge_.data();
+  const NodeId* nbr = kBackward ? in_src_.data() : dst_.data();
+  std::uint64_t* own = kBackward ? back_reached_.data() : reached_.data();
+  std::uint64_t* sent =
+      kBackward ? back_propagated_.data() : propagated_.data();
+  const std::uint64_t* other =
+      kBackward ? reached_.data() : back_reached_.data();
+  std::uint64_t* queued =
+      kBackward ? back_queued_.data() : frontier_bits_.data();
+  std::uint64_t* ever = kBackward ? back_ever_.data() : ever_bits_.data();
+  std::vector<NodeId>& touched = kBackward ? back_touched_ : touched_;
+  std::vector<NodeId>& queue = queue_[kBackward];
+  std::vector<NodeId>& next = next_queue_[kBackward];
+  next.clear();
+  degree_sum = 0;
+  // Local copies keep the lane words in registers across the edge loop.
+  std::uint64_t undecided[W];
+  std::uint64_t met[W];
+  std::uint64_t grew[W] = {};
+  StripOps<W, Isa>::Copy(undecided, live);
+  StripOps<W, Isa>::Copy(met, found);
+  std::uint64_t relaxed = 0;
+  for (const NodeId u : queue) {
+    queued[u >> 6] &= ~(std::uint64_t{1} << (u & 63));
+    std::uint64_t* ru = own + std::size_t{u} * W;
+    std::uint64_t* su = sent + std::size_t{u} * W;
+    std::uint64_t delta[W];
+    std::uint64_t pending = 0;
+    for (unsigned w = 0; w < W; ++w) {
+      delta[w] = ru[w] & ~su[w] & undecided[w];
+      pending |= delta[w];
+    }
+    // Lanes decided since u grew need no relaxing; claim them sent too.
+    StripOps<W, Isa>::Copy(su, ru);
+    if (pending == 0) continue;
+    ++relaxed;
+    // As in PushRound, a delta live in at most half the words relaxes
+    // only those words.
+    const unsigned words = StripOps<W, Isa>::NonzeroWords(delta);
+    const bool sparse =
+        W > 1 && static_cast<unsigned>(std::popcount(words)) * 2 <= W;
+    const EdgeId k1 = first[u + 1];
+    for (EdgeId k = first[u]; k < k1; ++k) {
+      const NodeId v = nbr[k];
+      const EdgeId e = kBackward ? in_eid_[k] : k;
+      const std::uint64_t* pe = strip_words + std::size_t{e} * W;
+      std::uint64_t* rv = own + std::size_t{v} * W;
+      const std::uint64_t* ov = other + std::size_t{v} * W;
+      std::uint64_t added = 0;
+      const auto relax = [&](unsigned w) {
+        const std::uint64_t g = delta[w] & pe[w] & ~rv[w];
+        rv[w] |= g;
+        grew[w] |= g;
+        added |= g;
+        // Grown where the other side already reaches: the sides meet.
+        const std::uint64_t hit = g & ov[w];
+        met[w] |= hit;
+        undecided[w] &= ~hit;
+      };
+      if (sparse) {
+        for (unsigned m = words; m != 0; m &= m - 1) {
+          relax(static_cast<unsigned>(std::countr_zero(m)));
+        }
+      } else {
+        for (unsigned w = 0; w < W; ++w) relax(w);
+      }
+      if (added == 0) continue;
+      const std::uint64_t bit = std::uint64_t{1} << (v & 63);
+      if ((queued[v >> 6] & bit) == 0) {
+        queued[v >> 6] |= bit;
+        next.push_back(v);
+        degree_sum += first[v + 1] - first[v];
+      }
+      if ((ever[v >> 6] & bit) == 0) {
+        ever[v >> 6] |= bit;
+        touched.push_back(v);
+      }
+    }
+  }
+  queue.swap(next);
+  // A lane this level left nothing pending in is closed on this side: had
+  // a source reached the target there, the sides would have met.
+  for (unsigned w = 0; w < W; ++w) {
+    live[w] = undecided[w] & grew[w];
+    found[w] = met[w];
+  }
+  return relaxed;
 }
 
 template <unsigned W, int Isa>

@@ -337,6 +337,13 @@ void BlockOps::StripReach(std::size_t worker, std::size_t strip,
   }
   const unsigned wn = strip_plane_->width;
   StripWorkspace& ws = *strip_workspaces_[worker];
+  if (sinks.size() == 1) {
+    // One sink: meet it in the middle instead of closing the sources'
+    // whole forward reach.
+    ws.RunUntil(graph_, sources, strip_plane_->StripWords(strip), sinks[0],
+                lanes, out);
+    return;
+  }
   ws.Run(graph_, sources, strip_plane_->StripWords(strip), lanes);
   for (std::size_t s = 0; s < sinks.size(); ++s) {
     const std::uint64_t* mask = ws.ReachedMask(sinks[s]);

@@ -33,7 +33,11 @@ namespace infoflow::serve {
 /// A strip is W consecutive 64-row blocks. With a strip plane (W = 4 or 8,
 /// graph/strip_plane.h) every pass replays the generation's interleaved
 /// W-word plane through one StripWorkspace per pool worker, so one BFS
-/// amortizes over 64·W rows. Without one, W = 1: a pass reads the bank's
+/// amortizes over 64·W rows. A pass with one sink — a flow, an Eq. 7–8
+/// condition, one flow of a joint query — meets in the middle
+/// (StripWorkspace::RunUntil); a pass with several runs forward to the
+/// fixpoint (Run), which answers every sink at once. The scan group's sink
+/// count alone picks. Without a strip plane, W = 1: a pass reads the bank's
 /// edge-major block through one BatchReachabilityWorkspace per worker, or,
 /// when `batch_bfs` is false, unpacks the block into packed rows in a
 /// per-worker scratch and replays each row through the scalar
@@ -60,7 +64,8 @@ class BlockOps {
   }
 
   /// Rows of `strip` whose pseudo-states satisfy every condition: the
-  /// blockwise conditional indicator I(x, C) of Eq. 7–8. `lanes` is an
+  /// blockwise conditional indicator I(x, C) of Eq. 7–8, one meet search
+  /// per condition over the lanes still live. `lanes` is an
   /// in/out span of StripWords() words covering blocks [strip·W,
   /// strip·W+W) in block order (words past the bank's last block are
   /// zero); on entry each word holds its block's candidate lanes, on
@@ -71,7 +76,7 @@ class BlockOps {
   /// Reachability from the (sorted-unique) `sources` in each lane of
   /// `strip` restricted to `lanes`: writes out[s·W + w] = the lanes of
   /// block strip·W+w in which sinks[s] is reached. `sinks` is
-  /// sorted-unique.
+  /// sorted-unique; a single sink is met in the middle.
   void StripReach(std::size_t worker, std::size_t strip,
                   const std::vector<NodeId>& sources,
                   const std::uint64_t* lanes, const std::vector<NodeId>& sinks,

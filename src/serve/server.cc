@@ -8,7 +8,9 @@
 #include <condition_variable>
 #include <cstring>
 #include <fstream>
+#include <list>
 #include <mutex>
+#include <system_error>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -33,8 +35,17 @@ struct Server::Background {
   int listen_fd = -1;
   std::thread accept_thread;
   std::thread refresh_thread;
+  /// One accepted connection's thread, which raises `done` as its ServeFd
+  /// returns. The accept loop joins done connections before it starts the
+  /// next one, so a finished connection does not keep its stack mapped
+  /// until Stop() joins the rest. A list keeps each `done` where its
+  /// thread wrote it.
+  struct Connection {
+    std::thread thread;
+    std::atomic<bool> done{false};
+  };
   std::mutex connections_mutex;
-  std::vector<std::thread> connections;
+  std::list<Connection> connections;
 
   /// Drift-rebuild worker state: the epoch callback queues the newest
   /// epoch (later epochs supersede queued ones — rebuilding onto stale
@@ -536,12 +547,26 @@ void Server::AcceptLoop() {
     }
     metric_connections_->Increment();
     std::lock_guard<std::mutex> lock(bg.connections_mutex);
-    bg.connections.emplace_back([this, conn] {
-      // Each connection gets its own engine (ServeFd creates one); the bank
-      // is shared and its Acquire() is thread-safe.
-      (void)ServeFd(conn, conn);
-      close(conn);
+    bg.connections.remove_if([](Background::Connection& finished) {
+      if (!finished.done.load()) return false;
+      finished.thread.join();
+      return true;
     });
+    Background::Connection& connection = bg.connections.emplace_back();
+    try {
+      connection.thread = std::thread([this, conn, &connection] {
+        // Each connection gets its own engine (ServeFd creates one); the
+        // bank is shared and its Acquire() is thread-safe.
+        (void)ServeFd(conn, conn);
+        close(conn);
+        connection.done.store(true);
+      });
+    } catch (const std::system_error&) {
+      // No thread to serve it (a resource limit): drop this connection
+      // instead of letting the exception end the accept thread.
+      bg.connections.pop_back();
+      close(conn);
+    }
   }
 }
 
@@ -584,13 +609,13 @@ void Server::Stop() {
   // daemon that never ran the periodic writer (stats_path without
   // --stats-every).
   if (!options_.stats_path.empty()) WriteStatsSnapshot();
-  std::vector<std::thread> connections;
+  std::list<Background::Connection> connections;
   {
     std::lock_guard<std::mutex> lock(bg.connections_mutex);
     connections.swap(bg.connections);
   }
-  for (std::thread& t : connections) {
-    if (t.joinable()) t.join();
+  for (Background::Connection& connection : connections) {
+    if (connection.thread.joinable()) connection.thread.join();
   }
   // Nothing can publish through this server anymore; detach the callback
   // so an ingestor kept alive by an external shared_ptr cannot call into

@@ -11,9 +11,11 @@
 /// interactive client still gets per-line latency.
 ///
 /// Concurrency: each connection (and the stdio loop) gets its own
-/// QueryEngine over the shared bank; a background thread refreshes the
-/// bank on a fixed interval, swapping generations without ever blocking
-/// readers (see sample_bank.h).
+/// QueryEngine over the shared bank, and a socket connection its own
+/// thread, joined at the next accept once it has finished (Stop() joins
+/// the open ones); a background thread refreshes the bank on a fixed
+/// interval, swapping generations without ever blocking readers (see
+/// sample_bank.h).
 
 #pragma once
 

@@ -708,6 +708,103 @@ TEST(QueryEngine, LaneWidthsAgreeBitForBitIncludingConditionals) {
   }
 }
 
+TEST(QueryEngine, MeetSearchAnswersAlikeAtEveryLaneWidth) {
+  // Single-sink scans meet in the middle at 256 and 512 lanes; the 64-lane
+  // engine replays forward. Flows (single-pair, multi-source, source =
+  // sink), flows given one or two conditions, and two- and three-flow joint
+  // queries must answer bitwise alike at all three widths, each alone in
+  // its batch (one single-sink scan) and all in one batch (merged
+  // frontiers, shared given masks). 1,000 rows leave a ragged tail block.
+  const PointIcm model = SmallRandomModel(67, 40, 110);
+  auto bank = SampleBank::Create(model, FastBank(250), 29);
+  ASSERT_TRUE(bank.ok());
+  const auto generation = bank->Acquire();
+  const NodeId n = model.graph().num_nodes();
+  Rng rng(71);
+  const auto node = [&] {
+    return static_cast<NodeId>(rng.UniformInt(0, n - 1));
+  };
+  const auto condition = [&]() -> FlowConstraint {
+    if (rng.Bernoulli(0.5)) {
+      return EdgeConstraint(
+          model, static_cast<EdgeId>(rng.UniformInt(
+                     0, model.graph().num_edges() - 1)));
+    }
+    return {node(), node(), false};
+  };
+  std::vector<QueryRequest> requests;
+  for (int i = 0; i < 24; ++i) requests.push_back(FlowQuery(node(), node()));
+  const NodeId self = node();
+  requests.push_back(FlowQuery(self, self));
+  for (int i = 0; i < 6; ++i) {
+    QueryRequest multi = FlowQuery(node(), node());
+    multi.sources.push_back(node());
+    multi.sources.push_back(node());
+    requests.push_back(multi);
+  }
+  for (int i = 0; i < 12; ++i) {
+    QueryRequest given = FlowQuery(node(), node());
+    given.given = {condition()};
+    if (i % 2 == 1) given.given.push_back(condition());
+    requests.push_back(given);
+  }
+  for (int i = 0; i < 10; ++i) {
+    QueryRequest joint;
+    joint.kind = QueryKind::kJoint;
+    for (int f = 0; f < 2 + i % 2; ++f) {
+      joint.flows.push_back({node(), node(), rng.Bernoulli(0.7)});
+    }
+    if (i % 3 == 2) joint.given = {condition()};
+    requests.push_back(joint);
+  }
+
+  QueryEngineOptions base;
+  base.min_conditional_rows = 1;
+  std::vector<QueryEngine> engines;
+  for (const LaneWidth lanes :
+       {LaneWidth::k64, LaneWidth::k256, LaneWidth::k512}) {
+    QueryEngineOptions options = base;
+    options.lanes = lanes;
+    engines.push_back(MakeEngine(*bank, options));
+  }
+  const auto expect_alike = [](const QueryResult& got,
+                               const QueryResult& want,
+                               const std::string& label) {
+    ASSERT_EQ(got.status.code(), want.status.code()) << label;
+    EXPECT_EQ(got.status.message(), want.status.message()) << label;
+    EXPECT_EQ(got.effective_rows, want.effective_rows) << label;
+    ASSERT_EQ(got.estimates.size(), want.estimates.size()) << label;
+    for (std::size_t j = 0; j < got.estimates.size(); ++j) {
+      EXPECT_EQ(got.estimates[j].value, want.estimates[j].value) << label;
+      EXPECT_EQ(got.estimates[j].diagnostics.mcse,
+                want.estimates[j].diagnostics.mcse)
+          << label;
+    }
+  };
+  std::size_t answered = 0;
+  const std::vector<QueryResult> batch64 =
+      engines[0].AnswerBatch(*generation, requests);
+  for (std::size_t e = 1; e < engines.size(); ++e) {
+    const std::vector<QueryResult> batch =
+        engines[e].AnswerBatch(*generation, requests);
+    ASSERT_EQ(batch.size(), requests.size());
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      const std::string label =
+          "engine " + std::to_string(e) + " request " + std::to_string(i);
+      expect_alike(batch[i], batch64[i], label + " (batched)");
+      const QueryResult alone =
+          engines[e].AnswerBatch(*generation, {requests[i]}).at(0);
+      expect_alike(alone, engines[0].AnswerBatch(*generation, {requests[i]})
+                              .at(0),
+                   label + " (alone)");
+      if (alone.status.ok()) ++answered;
+    }
+  }
+  // Nearly every request is answered (a condition may contradict itself or
+  // leave no survivors), so the comparison covers real estimates.
+  EXPECT_GE(answered, 2 * (requests.size() - 6));
+}
+
 TEST(QueryEngine, DuplicateSourcesDedupedBeforeFanOut) {
   const PointIcm model = SmallRandomModel(43, 10, 24);
   auto bank = SampleBank::Create(model, FastBank(600), 14);
@@ -1272,6 +1369,41 @@ TEST(Server, ErrorLinesEchoTheirStringId) {
   }
 }
 
+/// One connection to the daemon at `socket_path`, one flow query; returns
+/// the response line.
+std::string AskOverSocket(const std::string& socket_path,
+                          const std::string& id) {
+  const int client = socket(AF_UNIX, SOCK_STREAM, 0);
+  EXPECT_GE(client, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, socket_path.c_str(), sizeof(addr.sun_path) - 1);
+  EXPECT_EQ(
+      connect(client, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)),
+      0);
+  const std::string request =
+      "{\"id\":\"" + id + "\",\"source\":0,\"sink\":5}\n";
+  EXPECT_EQ(write(client, request.data(), request.size()),
+            static_cast<ssize_t>(request.size()));
+  shutdown(client, SHUT_WR);
+  std::string output;
+  char chunk[4096];
+  ssize_t got;
+  while ((got = read(client, chunk, sizeof(chunk))) > 0) {
+    output.append(chunk, static_cast<std::size_t>(got));
+  }
+  close(client);
+  return SplitLines(output).at(0);
+}
+
+/// Lines of /proc/self/maps: one per mapping of this process.
+std::size_t CountMappings() {
+  std::ifstream maps("/proc/self/maps");
+  std::size_t lines = 0;
+  for (std::string line; std::getline(maps, line);) ++lines;
+  return lines;
+}
+
 TEST(Server, AnswersOverUnixSocket) {
   // Connections are answered while the background refresher publishes new
   // generations; a connection opened after a refresh answers from it, and
@@ -1284,30 +1416,8 @@ TEST(Server, AnswersOverUnixSocket) {
   Server server = MakeServer(model, options);
   ASSERT_TRUE(server.Start().ok());
 
-  // One connection, one flow query; returns the response line.
   const auto ask = [&](const std::string& id) {
-    const int client = socket(AF_UNIX, SOCK_STREAM, 0);
-    EXPECT_GE(client, 0);
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    std::strncpy(addr.sun_path, options.socket_path.c_str(),
-                 sizeof(addr.sun_path) - 1);
-    EXPECT_EQ(connect(client, reinterpret_cast<const sockaddr*>(&addr),
-                      sizeof(addr)),
-              0);
-    const std::string request =
-        "{\"id\":\"" + id + "\",\"source\":0,\"sink\":5}\n";
-    EXPECT_EQ(write(client, request.data(), request.size()),
-              static_cast<ssize_t>(request.size()));
-    shutdown(client, SHUT_WR);
-    std::string output;
-    char chunk[4096];
-    ssize_t got;
-    while ((got = read(client, chunk, sizeof(chunk))) > 0) {
-      output.append(chunk, static_cast<std::size_t>(got));
-    }
-    close(client);
-    return SplitLines(output).at(0);
+    return AskOverSocket(options.socket_path, id);
   };
   auto first = ParseJson(ask("s1"));
   ASSERT_TRUE(first.ok());
@@ -1323,6 +1433,28 @@ TEST(Server, AnswersOverUnixSocket) {
   ASSERT_TRUE(second.ok());
   EXPECT_TRUE(second->Find("ok")->AsBool());
   EXPECT_GT(second->Find("generation")->AsNumber(), seen);
+  server.Stop();
+}
+
+TEST(Server, ReapsFinishedConnectionThreads) {
+  // A finished connection's thread is joined at the next accept, so its
+  // stack stops being mapped: 200 one-query connections in turn must leave
+  // the mapping count nearly flat (unreaped, each added about two).
+  const PointIcm model = SmallRandomModel(47, 10, 24);
+  ServerOptions options;
+  options.socket_path = testing::TempDir() + "/infoflow_reap_test.sock";
+  Server server = MakeServer(model, options);
+  ASSERT_TRUE(server.Start().ok());
+  // Warm-up connections settle the allocator's per-thread arenas.
+  for (int i = 0; i < 5; ++i) AskOverSocket(options.socket_path, "warm");
+  const std::size_t before = CountMappings();
+  for (int i = 0; i < 200; ++i) {
+    auto response = ParseJson(AskOverSocket(options.socket_path, "c"));
+    ASSERT_TRUE(response.ok());
+    ASSERT_TRUE(response->Find("ok")->AsBool()) << i;
+  }
+  const std::size_t after = CountMappings();
+  EXPECT_LT(after, before + 50) << before << " -> " << after;
   server.Stop();
 }
 

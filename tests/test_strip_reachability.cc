@@ -4,6 +4,7 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "graph/batch_reachability.h"
@@ -307,6 +308,143 @@ TEST(StripReachability, RunUntilSaturatesImmediatelyWhenTargetIsSource) {
   full_mask.fill(~std::uint64_t{0});
   ws.RunUntil(g, {0}, all.data(), 3, full_mask.data(), hits.data());
   for (unsigned w = 0; w < 4; ++w) EXPECT_EQ(hits[w], ~std::uint64_t{0});
+}
+
+// One meet-search case: RunUntil's target mask must equal a forward Run's
+// ReachedMask(target), word for word. `meet` is then reused for a forward
+// Run of the same case, which must match the reference everywhere, so the
+// next case's RunUntil starts from a workspace a Run just used.
+::testing::AssertionResult MeetMatchesForward(
+    StripWorkspace& meet, StripWorkspace& forward, const DirectedGraph& g,
+    const std::uint64_t* strip_words, const std::vector<NodeId>& sources,
+    NodeId target, const std::uint64_t* lane_mask) {
+  const unsigned width = forward.words();
+  forward.Run(g, sources, strip_words, lane_mask);
+  std::array<std::uint64_t, kMaxStripWords> hits;
+  hits.fill(0xDEAD);
+  meet.RunUntil(g, sources, strip_words, target, lane_mask, hits.data());
+  for (unsigned w = 0; w < width; ++w) {
+    if (hits[w] != forward.ReachedMask(target)[w]) {
+      return ::testing::AssertionFailure()
+             << "RunUntil word " << w << ": " << hits[w] << " vs forward "
+             << forward.ReachedMask(target)[w];
+    }
+  }
+  meet.Run(g, sources, strip_words, lane_mask);
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    for (unsigned w = 0; w < width; ++w) {
+      if (meet.ReachedMask(v)[w] != forward.ReachedMask(v)[w]) {
+        return ::testing::AssertionFailure()
+               << "Run after RunUntil, node " << v << " word " << w;
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+template <unsigned W>
+std::unique_ptr<StripWorkspace> GenericWorkspace(const DirectedGraph& g) {
+  return std::make_unique<StripReachabilityWorkspace<W>>(g);
+}
+
+TEST(StripReachability, RunUntilMeetsForwardRunOnEveryShapeAndWidth) {
+  Rng rng(101);
+  struct Shape {
+    const char* name;
+    DirectedGraph graph;
+    double density;
+  };
+  std::vector<Shape> shapes;
+  shapes.push_back({"uniform sparse", UniformRandomGraph(60, 130, rng), 0.45});
+  shapes.push_back(
+      {"reciprocal PA", PreferentialAttachmentGraph(80, 3, 0.5, rng), 0.3});
+  // Node 0 (the root) has no in-edges; leaves have no out-edges.
+  shapes.push_back({"tree", RandomTreeGraph(80, 3, rng), 0.75});
+  // Mean out-degree 10 at p = 0.1: near-critical, wide frontiers.
+  shapes.push_back({"dense critical", UniformRandomGraph(40, 400, rng), 0.1});
+  for (const Shape& shape : shapes) {
+    const DirectedGraph& g = shape.graph;
+    const NodeId n = g.num_nodes();
+    NodeId no_in = kInvalidNode;
+    NodeId no_out = kInvalidNode;
+    for (NodeId v = 0; v < n; ++v) {
+      if (no_in == kInvalidNode && g.InEdges(v).empty()) no_in = v;
+      if (no_out == kInvalidNode && g.OutEdges(v).empty()) no_out = v;
+    }
+    const auto node = [&] {
+      return static_cast<NodeId>(rng.UniformInt(0, n - 1));
+    };
+    for (const unsigned width : {1u, 4u, 8u}) {
+      const SampledStrip strip = RandomStrip(g, rng, shape.density, width,
+                                             std::size_t{width} * 64);
+      // Full lanes; a ragged first word with dead words after it; random
+      // survivors with every other word all-zero.
+      std::vector<std::vector<std::uint64_t>> masks(3);
+      masks[0] = strip.lane_mask;
+      masks[1].assign(width, 0);
+      masks[1][0] = (std::uint64_t{1} << 37) - 1;
+      masks[2].assign(width, 0);
+      for (unsigned w = 0; w < width; w += 2) masks[2][w] = rng.NextU64();
+      struct Case {
+        std::vector<NodeId> sources;
+        NodeId target;
+      };
+      std::vector<Case> cases;
+      for (int i = 0; i < 12; ++i) cases.push_back({{node()}, node()});
+      cases.push_back({{node(), node(), node()}, node()});
+      const NodeId a = node();
+      cases.push_back({{a, node()}, a});  // target among the sources
+      if (no_in != kInvalidNode) {
+        cases.push_back({{node()}, no_in});
+        cases.push_back({{no_in}, no_in});
+      }
+      if (no_out != kInvalidNode) {
+        cases.push_back({{no_out}, node()});
+        cases.push_back({{no_out, node()}, node()});
+      }
+      const auto generic = width == 1   ? GenericWorkspace<1>(g)
+                           : width == 4 ? GenericWorkspace<4>(g)
+                                        : GenericWorkspace<8>(g);
+      const auto picked = StripWorkspace::Create(width, g);
+      const auto forward = StripWorkspace::Create(width, g);
+      for (std::size_t c = 0; c < cases.size(); ++c) {
+        for (std::size_t m = 0; m < masks.size(); ++m) {
+          for (StripWorkspace* meet : {generic.get(), picked.get()}) {
+            ASSERT_TRUE(MeetMatchesForward(*meet, *forward, g,
+                                           strip.strip_words.data(),
+                                           cases[c].sources, cases[c].target,
+                                           masks[m].data()))
+                << shape.name << ", W=" << width << ", case " << c
+                << ", mask " << m
+                << (meet == picked.get() ? ", runtime pick" : ", generic");
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(StripReachability, RunUntilAnswersEveryTargetOfOneBank) {
+  // Every (source, target) pair of a small PA graph over one 512-lane
+  // strip, through one reused workspace: each answer equals the forward
+  // fixpoint's mask at the target.
+  Rng rng(103);
+  const DirectedGraph g = PreferentialAttachmentGraph(40, 2, 0.4, rng);
+  const SampledStrip strip = RandomStrip(g, rng, 0.4, 8, 512 - 70);
+  const auto meet = StripWorkspace::Create(8, g);
+  StripReachabilityWorkspace<8> forward(g);
+  std::array<std::uint64_t, 8> hits = {};
+  for (NodeId s = 0; s < g.num_nodes(); ++s) {
+    forward.Run(g, {s}, strip.strip_words.data(), strip.lane_mask.data());
+    for (NodeId t = 0; t < g.num_nodes(); ++t) {
+      meet->RunUntil(g, {s}, strip.strip_words.data(), t,
+                     strip.lane_mask.data(), hits.data());
+      for (unsigned w = 0; w < 8; ++w) {
+        ASSERT_EQ(hits[w], forward.ReachedMask(t)[w])
+            << "source " << s << " target " << t << " word " << w;
+      }
+    }
+  }
 }
 
 TEST(StripReachability, NoStateLeaksBetweenReusedRuns) {

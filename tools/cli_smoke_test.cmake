@@ -96,6 +96,24 @@ expect_serve_refused(bank-state 2 "unknown flag --bank-state\n")
 expect_serve_refused(chains abc "--chains expects a non-negative integer")
 expect_serve_refused(threads -1 "--threads expects a non-negative integer")
 
+# A node id past 2^32 − 2 is refused naming its flag, never wrapped (node
+# 2^32 + 5 used to answer as node 5).
+function(expect_refused error)
+  execute_process(COMMAND ${CLI} ${ARGN}
+    RESULT_VARIABLE code OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(code EQUAL 0)
+    message(FATAL_ERROR "infoflow ${ARGN} exited 0; it must be refused")
+  endif()
+  if(NOT err MATCHES "invalid-argument: ${error}")
+    message(FATAL_ERROR "infoflow ${ARGN}: the error does not name the "
+            "flag: ${err}")
+  endif()
+endfunction()
+expect_refused("--source expects an integer below 4294967295"
+  query --model ${WORK_DIR}/model.bicm --source 4294967301 --sink 5)
+expect_refused("--candidates expects a comma-separated list of integers"
+  maximize --model ${WORK_DIR}/model.bicm --candidates 1,4294967296)
+
 # Regression: a SIGTERM'd serve daemon must still flush --metrics-json
 # (the signal handlers read as EOF in the serve loop, so the daemon
 # unwinds cleanly instead of dying with its artifacts unwritten).

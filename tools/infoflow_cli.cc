@@ -83,6 +83,9 @@ namespace {
 /// Minimal flag parser: accepts "--key value", "--key=value", and bare
 /// "--flag" (stored as "1" — a boolean switch) when the next token is
 /// another flag or the end of the line.
+/// Node ids (and node counts) stop below kInvalidNode.
+static_assert(kInvalidNode == 4294967295u);
+
 class Flags {
  public:
   Flags(int argc, char** argv, int start) {
@@ -124,6 +127,16 @@ class Flags {
   /// in value_error() and reads as `fallback`.
   std::uint64_t GetInt(const std::string& key, std::uint64_t fallback) {
     return Parse(key, fallback, "a non-negative integer");
+  }
+
+  /// A node-id (or node-count) flag: as GetInt, and a value that does
+  /// not fit below kInvalidNode is recorded in value_error() too, never
+  /// wrapped.
+  NodeId GetNode(const std::string& key, NodeId fallback) {
+    const std::uint64_t value = GetInt(key, fallback);
+    if (value < kInvalidNode) return static_cast<NodeId>(value);
+    NoteBadValue(key, "an integer below 4294967295");
+    return fallback;
   }
 
   /// A finite number flag; malformed values as for GetInt.
@@ -200,7 +213,7 @@ int Fail(const Status& status) {
 
 // --------------------------------------------------------------- simulate
 int CmdSimulate(Flags& flags) {
-  const auto users = static_cast<NodeId>(flags.GetInt("users", 200));
+  const NodeId users = flags.GetNode("users", 200);
   const std::size_t messages = flags.GetInt("messages", 2000);
   const std::size_t objects = flags.GetInt("tag-objects", 400);
   const std::uint64_t seed = flags.GetInt("seed", 1);
@@ -374,8 +387,8 @@ Result<PointIcm> LoadAnyModel(const std::string& path) {
 int CmdQuery(Flags& flags) {
   auto model_path = flags.Require("model");
   if (!model_path.ok()) return Fail(model_path.status());
-  const auto source = static_cast<NodeId>(flags.GetInt("source", 0));
-  const auto sink = static_cast<NodeId>(flags.GetInt("sink", 0));
+  const NodeId source = flags.GetNode("source", 0);
+  const NodeId sink = flags.GetNode("sink", 0);
   const std::size_t samples = flags.GetInt("samples", 20000);
   const std::uint64_t seed = flags.GetInt("seed", 1);
   const std::size_t chains = flags.GetInt("chains", 4);
@@ -738,24 +751,29 @@ int CmdServe(Flags& flags) {
 // --------------------------------------------------------------- maximize
 
 /// Parses a comma-separated node-id list flag like "0,3,17"; empty → empty.
+/// An item that is not a number, or does not fit below kInvalidNode, is
+/// refused naming the flag.
 Result<std::vector<NodeId>> ParseNodeListFlag(const std::string& text,
                                               const char* flag) {
   std::vector<NodeId> nodes;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    if (text[pos] == ',' || text[pos] == ' ') {
+  const char* pos = text.data();
+  const char* const end = pos + text.size();
+  while (pos < end) {
+    if (*pos == ',' || *pos == ' ') {
       ++pos;
       continue;
     }
-    char* end = nullptr;
-    const unsigned long value = std::strtoul(text.c_str() + pos, &end, 10);
-    if (end == text.c_str() + pos) {
+    NodeId value = 0;
+    const auto [next, ec] = std::from_chars(pos, end, value);
+    if (ec != std::errc() || value == kInvalidNode ||
+        (next != end && *next != ',' && *next != ' ')) {
       return Status::InvalidArgument("--", flag,
-                                     ": expected a comma-separated node "
-                                     "list, got '", text, "'");
+                                     " expects a comma-separated list of "
+                                     "integers below 4294967295, got '",
+                                     text, "'");
     }
-    nodes.push_back(static_cast<NodeId>(value));
-    pos = static_cast<std::size_t>(end - text.c_str());
+    nodes.push_back(value);
+    pos = next;
   }
   return nodes;
 }
@@ -865,7 +883,7 @@ int CmdMaximize(Flags& flags) {
 int CmdImpact(Flags& flags) {
   auto model_path = flags.Require("model");
   if (!model_path.ok()) return Fail(model_path.status());
-  const auto source = static_cast<NodeId>(flags.GetInt("source", 0));
+  const NodeId source = flags.GetNode("source", 0);
   const std::size_t cascades = flags.GetInt("cascades", 10000);
   const std::uint64_t seed = flags.GetInt("seed", 1);
   if (!flags.value_error().ok()) return Fail(flags.value_error());
